@@ -554,6 +554,7 @@ func BenchmarkSharedScan(b *testing.B) {
 	)
 	for _, g := range []int{1, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
+			b.ReportAllocs()
 			db := MustOpen(Options{
 				Seed:           9,
 				SpaceLimit:     64,
@@ -628,6 +629,7 @@ func BenchmarkParallelScan(b *testing.B) {
 		{"parallel/contended", 4, 4},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r, err := bench.RunParallelScan(bench.ParallelScanOptions{
 					Options: bench.Options{

@@ -30,7 +30,10 @@ type Frame struct {
 func (f *Frame) ID() storage.PageID { return f.id }
 
 // Data returns the page image. The slice is valid while the frame is
-// pinned; callers must not retain it past Unpin.
+// pinned; callers must not retain it past Unpin. The contract carries
+// correctness, not just hygiene: once unpinned, the frame may be evicted
+// and its buffer handed to the next miss, which overwrites it with
+// another page's image.
 func (f *Frame) Data() []byte { return f.data }
 
 // MarkDirty records that the page image was modified and must reach the
@@ -58,6 +61,10 @@ type Pool struct {
 	frames   map[storage.PageID]*Frame
 	evict    *list.List // unpinned frames, front = least recently used
 	stats    PoolStats
+
+	// check, when set, validates every page image read from the store
+	// before any fetcher can see it (see SetPageCheck).
+	check func(storage.PageID, []byte) error
 }
 
 // NewPool creates a pool holding at most capacity pages. Capacity must be
@@ -72,6 +79,19 @@ func NewPool(store Store, capacity int) (*Pool, error) {
 		frames:   make(map[storage.PageID]*Frame, capacity),
 		evict:    list.New(),
 	}, nil
+}
+
+// SetPageCheck installs the structural check every page image read from
+// the store must pass before the pool admits it. A failing image is
+// treated like a failed read: the fetch returns the check's error and
+// the frame is not kept, so the next fetch reads and checks again. The
+// layer that owns the page format installs it (the heap table does, at
+// construction); images the pool already holds, and pages changed in
+// memory, are not rechecked — they are trusted from then on.
+func (p *Pool) SetPageCheck(check func(storage.PageID, []byte) error) {
+	p.mu.Lock()
+	p.check = check
+	p.mu.Unlock()
 }
 
 // Capacity returns the configured frame count.
@@ -117,22 +137,27 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 	}
 
 	p.stats.Misses++
-	if len(p.frames) >= p.capacity {
-		if err := p.evictOneLocked(); err != nil {
-			p.mu.Unlock()
-			return nil, err
-		}
+	data, err := p.frameBufLocked()
+	if err != nil {
+		p.mu.Unlock()
+		return nil, err
 	}
-	f := &Frame{id: id, data: make([]byte, PageSize), pins: 1, ready: make(chan struct{})}
+	f := &Frame{id: id, data: data, pins: 1, ready: make(chan struct{})}
 	p.frames[id] = f
+	check := p.check
 	p.mu.Unlock()
 
-	err := p.store.Read(id, f.data)
+	err = p.store.Read(id, f.data)
+	if err == nil && check != nil {
+		err = check(id, f.data)
+	}
 
 	p.mu.Lock()
 	if err != nil {
 		// Orphan the frame: waiters already holding a pin observe loadErr
 		// and return it; the frame is no longer reachable or evictable.
+		// An image that failed the page check is dropped the same way, so
+		// a corrupt page is never admitted.
 		f.loadErr = err
 		delete(p.frames, id)
 	}
@@ -154,12 +179,12 @@ func (p *Pool) Allocate() (*Frame, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.frames) >= p.capacity {
-		if err := p.evictOneLocked(); err != nil {
-			return nil, err
-		}
+	data, err := p.frameBufLocked()
+	if err != nil {
+		return nil, err
 	}
-	f := &Frame{id: id, data: make([]byte, PageSize), pins: 1}
+	clear(data)
+	f := &Frame{id: id, data: data, pins: 1}
 	p.frames[id] = f
 	return f, nil
 }
@@ -178,26 +203,41 @@ func (p *Pool) Unpin(f *Frame) {
 	}
 }
 
+// frameBufLocked returns a page buffer for a new frame: a fresh one
+// while the pool has room, else the buffer of the frame it evicts. The
+// victim is unpinned, so by the Data contract nobody still reads it.
+// The buffer's contents are stale; the caller overwrites or clears it.
+func (p *Pool) frameBufLocked() ([]byte, error) {
+	if len(p.frames) < p.capacity {
+		return make([]byte, PageSize), nil
+	}
+	return p.evictOneLocked()
+}
+
 // evictOneLocked writes back and drops the least recently used unpinned
-// frame. It fails if every frame is pinned.
-func (p *Pool) evictOneLocked() error {
+// frame, returning its page buffer for reuse. It fails if every frame is
+// pinned, or if the writeback fails — the victim then stays resident,
+// dirty and first in line for eviction.
+func (p *Pool) evictOneLocked() ([]byte, error) {
 	el := p.evict.Front()
 	if el == nil {
-		return fmt.Errorf("buffer: pool exhausted: all %d frames pinned", p.capacity)
+		return nil, fmt.Errorf("buffer: pool exhausted: all %d frames pinned", p.capacity)
 	}
 	f := el.Value.(*Frame)
-	p.evict.Remove(el)
-	f.lru = nil
 	if f.dirty {
 		if err := p.store.Write(f.id, f.data); err != nil {
-			return fmt.Errorf("buffer: writeback of page %d: %w", f.id, err)
+			return nil, fmt.Errorf("buffer: writeback of page %d: %w", f.id, err)
 		}
 		p.stats.Flushes++
 		f.dirty = false
 	}
+	p.evict.Remove(el)
+	f.lru = nil
 	delete(p.frames, f.id)
 	p.stats.Evictions++
-	return nil
+	data := f.data
+	f.data = nil // a stale *Frame now fails loudly instead of reading another page
+	return data, nil
 }
 
 // FlushAll writes every dirty frame back to the store. Pinned frames are

@@ -70,13 +70,16 @@ type QueryStats struct {
 	Duration time.Duration
 }
 
-// Heap is the table access the executor needs: page-at-a-time scans and
-// RID materialization. *heap.Table implements it; tests substitute
-// fault-injecting wrappers.
+// Heap is the table access the executor needs: column-projected
+// page-at-a-time scans and RID materialization. ScanKeys hands over each
+// live tuple's RID, scan-column key and raw bytes; the executor decodes
+// a tuple (with Schema) only when it matches. *heap.Table implements it;
+// tests substitute fault-injecting wrappers.
 type Heap interface {
 	NumPages() int
+	Schema() *storage.Schema
 	Get(rid storage.RID) (storage.Tuple, error)
-	ScanPage(p storage.PageID, fn func(rid storage.RID, tu storage.Tuple) error) error
+	ScanKeys(p storage.PageID, col int, fn func(rid storage.RID, key storage.Value, raw []byte) error) error
 }
 
 var _ Heap = (*heap.Table)(nil)

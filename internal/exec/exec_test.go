@@ -17,9 +17,16 @@ func iv(v int64) storage.Value { return storage.Int64Value(v) }
 // buildTable creates a heap with rows tuples (key = i % 10, padded so a
 // few tuples fit per page).
 func buildTable(t *testing.T, rows int) *heap.Table {
+	tb, _ := buildTableOn(t, rows, 64)
+	return tb
+}
+
+// buildTableOn is buildTable over a pool of poolPages frames; it also
+// returns the table's store.
+func buildTableOn(t *testing.T, rows, poolPages int) (*heap.Table, *buffer.SimDisk) {
 	t.Helper()
 	d := buffer.NewSimDisk()
-	pool, err := buffer.NewPool(d, 64)
+	pool, err := buffer.NewPool(d, poolPages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +42,7 @@ func buildTable(t *testing.T, rows int) *heap.Table {
 			t.Fatal(err)
 		}
 	}
-	return tb
+	return tb, d
 }
 
 func TestEqualNoIndexNoBuffer(t *testing.T) {

@@ -186,19 +186,19 @@ func (s *parallelScan) scanOne(pg storage.PageID) error {
 		res.skipped = true
 		return nil
 	}
-	indexThis := s.inI != nil && s.inI[pg]
-	return s.a.Table.ScanPage(pg, func(rid storage.RID, tu storage.Tuple) error {
-		v := tu.Value(s.a.Column)
-		for k, qi := range s.scanQ {
-			if !s.canceled[k].Load() && s.qs[qi].matches(v) {
-				res.matches = append(res.matches, qMatch{q: k, m: Match{RID: rid, Tuple: tu}})
+	var collect func(storage.RID, storage.Value) error
+	if s.inI != nil && s.inI[pg] {
+		collect = func(rid storage.RID, v storage.Value) error {
+			if s.a.Index == nil || !s.a.Index.Covers(v) {
+				res.entries = append(res.entries, core.PageEntry{Key: v, RID: rid})
 			}
+			return nil
 		}
-		if indexThis && (s.a.Index == nil || !s.a.Index.Covers(v)) {
-			res.entries = append(res.entries, core.PageEntry{Key: v, RID: rid})
-		}
-		return nil
-	})
+	}
+	return scanPage(s.a, s.qs, s.scanQ, pg,
+		func(k int) bool { return !s.canceled[k].Load() },
+		func(k int, m Match) { res.matches = append(res.matches, qMatch{q: k, m: m}) },
+		collect)
 }
 
 // finish publishes phase-1 cancellations and faults into the outcome

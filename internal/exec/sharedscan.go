@@ -187,6 +187,48 @@ func failActive(err error, outs []SharedOutcome, states []scanState, scanQ []int
 	}
 }
 
+// scanPage is the decode-on-match page scan every table-scan path (serial
+// indexing pass, parallel scanOne, full scan) shares. It walks page pg
+// through the column-projected Heap.ScanKeys and tests each live tuple's
+// key against every attached query — position k of scanQ — that live(k)
+// still reports attached. A tuple is decoded at most once, on its first
+// match, and each match goes to emit; a page with no matches allocates
+// nothing per tuple. onKey, when non-nil, then sees every tuple's RID
+// and key: the hook that collects Index Buffer entries for pages in I.
+func scanPage(a Access, qs []SharedQuery, scanQ []int, pg storage.PageID, live func(k int) bool, emit func(k int, m Match), onKey func(storage.RID, storage.Value) error) error {
+	schema := a.Table.Schema()
+	return a.Table.ScanKeys(pg, a.Column, func(rid storage.RID, v storage.Value, raw []byte) error {
+		var tu storage.Tuple
+		decoded := false
+		for k, qi := range scanQ {
+			if !live(k) || !qs[qi].matches(v) {
+				continue
+			}
+			if !decoded {
+				var err error
+				if tu, err = storage.DecodeTuple(schema, raw); err != nil {
+					return err
+				}
+				decoded = true
+			}
+			emit(k, Match{RID: rid, Tuple: tu})
+		}
+		if onKey != nil {
+			return onKey(rid, v)
+		}
+		return nil
+	})
+}
+
+// serialDemux returns scanPage's live/emit pair for the single-goroutine
+// paths: a query is live while its state is active, and its matches
+// append straight to its outcome.
+func serialDemux(outs []SharedOutcome, states []scanState, scanQ []int) (live func(int) bool, emit func(int, Match)) {
+	live = func(k int) bool { return states[scanQ[k]].active }
+	emit = func(k int, m Match) { outs[scanQ[k]].Matches = append(outs[scanQ[k]].Matches, m) }
+	return live, emit
+}
+
 // sharedFullScan answers the scanning queries with one full table scan —
 // the no-buffer fallback (baseline engines with the Index Buffer
 // disabled, or a buffer dropped between planning and execution).
@@ -206,6 +248,7 @@ func sharedFullScan(a Access, qs []SharedQuery, outs []SharedOutcome, states []s
 		}
 		return
 	}
+	live, emit := serialDemux(outs, states, scanQ)
 	for p := 0; p < numPages; p++ {
 		if !pollCancel(outs, states, scanQ) {
 			return
@@ -216,16 +259,7 @@ func sharedFullScan(a Access, qs []SharedQuery, outs []SharedOutcome, states []s
 				states[i].seen.read(&outs[i].Stats, pg)
 			}
 		}
-		err := a.Table.ScanPage(pg, func(rid storage.RID, tu storage.Tuple) error {
-			v := tu.Value(a.Column)
-			for _, i := range scanQ {
-				if states[i].active && qs[i].matches(v) {
-					outs[i].Matches = append(outs[i].Matches, Match{RID: rid, Tuple: tu})
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		if err := scanPage(a, qs, scanQ, pg, live, emit, nil); err != nil {
 			failActive(err, outs, states, scanQ)
 			return
 		}
@@ -364,6 +398,7 @@ func serialIndexingPass(a Access, qs []SharedQuery, outs []SharedOutcome, states
 	entriesAdded := 0
 	skipped := make(map[storage.PageID]bool)
 	aborted := false
+	live, emit := serialDemux(outs, states, scanQ)
 	for p := 0; p < numPages && !aborted; p++ {
 		if !pollCancel(outs, states, scanQ) {
 			aborted = true // every attachee canceled; keep the consistent prefix
@@ -393,22 +428,20 @@ func serialIndexingPass(a Access, qs []SharedQuery, outs []SharedOutcome, states
 			}
 		}
 		var added []core.PageEntry
-		err := a.Table.ScanPage(pg, func(rid storage.RID, tu storage.Tuple) error {
-			v := tu.Value(a.Column)
-			for _, i := range scanQ {
-				if states[i].active && qs[i].matches(v) {
-					outs[i].Matches = append(outs[i].Matches, Match{RID: rid, Tuple: tu})
+		var index func(storage.RID, storage.Value) error
+		if indexThis {
+			index = func(rid storage.RID, v storage.Value) error {
+				if a.Index != nil && a.Index.Covers(v) {
+					return nil
 				}
-			}
-			if indexThis && (a.Index == nil || !a.Index.Covers(v)) {
 				if err := a.Buffer.AddEntry(pg, v, rid); err != nil {
 					return err
 				}
 				added = append(added, core.PageEntry{Key: v, RID: rid})
+				return nil
 			}
-			return nil
-		})
-		if err != nil {
+		}
+		if err := scanPage(a, qs, scanQ, pg, live, emit, index); err != nil {
 			if indexThis {
 				// Mid-page failure: BeginPage assigned the page to a
 				// partition but only part of its tuples were inserted —

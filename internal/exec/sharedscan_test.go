@@ -23,8 +23,8 @@ type faultHeap struct {
 	failedPage storage.PageID
 }
 
-func (f *faultHeap) ScanPage(p storage.PageID, fn func(storage.RID, storage.Tuple) error) error {
-	return f.Table.ScanPage(p, func(rid storage.RID, tu storage.Tuple) error {
+func (f *faultHeap) ScanKeys(p storage.PageID, col int, fn func(storage.RID, storage.Value, []byte) error) error {
+	return f.Table.ScanKeys(p, col, func(rid storage.RID, key storage.Value, raw []byte) error {
 		if f.armed {
 			if f.remaining == 0 {
 				f.armed = false
@@ -33,7 +33,7 @@ func (f *faultHeap) ScanPage(p storage.PageID, fn func(storage.RID, storage.Tupl
 			}
 			f.remaining--
 		}
-		return fn(rid, tu)
+		return fn(rid, key, raw)
 	})
 }
 
@@ -44,8 +44,8 @@ func scanFixture(t *testing.T, tb Heap) Access {
 	ix := index.NewPartial("k", 0, index.IntRange(0, 4))
 	uncovered := make([]int, tb.NumPages())
 	for p := 0; p < tb.NumPages(); p++ {
-		err := tb.ScanPage(storage.PageID(p), func(rid storage.RID, tu storage.Tuple) error {
-			if !ix.Add(tu.Value(0), rid) {
+		err := tb.ScanKeys(storage.PageID(p), 0, func(rid storage.RID, key storage.Value, _ []byte) error {
+			if !ix.Add(key, rid) {
 				uncovered[rid.Page]++
 			}
 			return nil
@@ -95,6 +95,7 @@ func TestMidPageFailureRollsBackPage(t *testing.T) {
 	real := buildTable(t, 300)
 	fh := &faultHeap{Table: real}
 	a := scanFixture(t, fh)
+	a.Parallelism = 1                 // the serial pass: only it can fail mid-page after BeginPage
 	fh.remaining, fh.armed = 25, true // fails on the 3rd page, mid-page
 
 	_, stats, err := Equal(context.Background(), a, iv(8))

@@ -27,33 +27,48 @@ type Table struct {
 	freeHint []int
 }
 
-// NewTable creates an empty heap table over the pool.
+// NewTable creates an empty heap table over the pool. The table installs
+// its page check on the pool, so every page image later read from the
+// store is validated once, on admission, and never again while resident.
 func NewTable(schema *storage.Schema, pool *buffer.Pool) *Table {
+	pool.SetPageCheck(checkPage)
 	return &Table{schema: schema, pool: pool}
 }
 
 // OpenTable attaches to an existing heap of numPages pages (a persisted
-// table being reloaded). It reads every page once to validate it and
-// rebuild the free-space hints.
+// table being reloaded). It reads every page once, which validates it,
+// and rebuilds the free-space hints.
 func OpenTable(schema *storage.Schema, pool *buffer.Pool, numPages int) (*Table, error) {
-	t := &Table{schema: schema, pool: pool, numPages: numPages, freeHint: make([]int, numPages)}
+	t := NewTable(schema, pool)
+	t.numPages, t.freeHint = numPages, make([]int, numPages)
 	for p := 0; p < numPages; p++ {
 		f, err := pool.Fetch(storage.PageID(p))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("heap: reopening: %w", err)
 		}
 		sp, err := AsPage(f.Data())
-		if err == nil {
-			err = sp.Validate()
-		}
 		if err != nil {
 			pool.Unpin(f)
-			return nil, fmt.Errorf("heap: reopening page %d: %w", p, err)
+			return nil, err
 		}
 		t.freeHint[p] = sp.FreeSpace()
 		pool.Unpin(f)
 	}
 	return t, nil
+}
+
+// checkPage is the page check the table installs on its pool: a page
+// image read from the store must be a structurally sound slotted page
+// before any Get or scan may read it.
+func checkPage(id storage.PageID, data []byte) error {
+	sp, err := AsPage(data)
+	if err == nil {
+		err = sp.Validate()
+	}
+	if err != nil {
+		return fmt.Errorf("heap: page %d: %w", id, err)
+	}
+	return nil
 }
 
 // Schema returns the table's schema.
@@ -160,9 +175,6 @@ func (t *Table) Get(rid storage.RID) (storage.Tuple, error) {
 	sp, err := AsPage(f.Data())
 	if err != nil {
 		return storage.Tuple{}, err
-	}
-	if err := sp.Validate(); err != nil {
-		return storage.Tuple{}, fmt.Errorf("heap: page %d: %w", rid.Page, err)
 	}
 	raw, err := sp.Tuple(int(rid.Slot))
 	if err != nil {
@@ -288,8 +300,28 @@ func (t *Table) PageLiveCount(p storage.PageID) (int, error) {
 	return sp.LiveCount(), nil
 }
 
-// ScanPage invokes fn for every live tuple in page p, in slot order.
-// Returning a non-nil error from fn stops the scan and propagates.
+// ScanKeys is the column-projected page scan: it invokes fn for every
+// live tuple in page p, in slot order, with the tuple's RID, the value of
+// column col, and the tuple's raw encoded bytes. Only the key column is
+// decoded, so a caller that tests a predicate pays for a full decode
+// (storage.DecodeTuple on raw) only on a match. raw aliases the pinned
+// page and is valid only during the call. Returning a non-nil error from
+// fn stops the scan and propagates.
+func (t *Table) ScanKeys(p storage.PageID, col int, fn func(rid storage.RID, key storage.Value, raw []byte) error) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.walkPageLocked(p, func(rid storage.RID, raw []byte) error {
+		key, err := storage.DecodeColumn(t.schema, raw, col)
+		if err != nil {
+			return err
+		}
+		return fn(rid, key, raw)
+	})
+}
+
+// ScanPage invokes fn for every live tuple in page p, fully decoded, in
+// slot order. Returning a non-nil error from fn stops the scan and
+// propagates.
 func (t *Table) ScanPage(p storage.PageID, fn func(storage.RID, storage.Tuple) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -297,6 +329,21 @@ func (t *Table) ScanPage(p storage.PageID, fn func(storage.RID, storage.Tuple) e
 }
 
 func (t *Table) scanPageLocked(p storage.PageID, fn func(storage.RID, storage.Tuple) error) error {
+	return t.walkPageLocked(p, func(rid storage.RID, raw []byte) error {
+		tu, err := storage.DecodeTuple(t.schema, raw)
+		if err != nil {
+			return err
+		}
+		return fn(rid, tu)
+	})
+}
+
+// walkPageLocked is the table's one page walk: it pins page p and calls
+// fn with the RID and raw bytes of every live slot, in slot order. The
+// page was validated when the pool admitted it (checkPage), so the walk
+// does not re-check the slot directory; raw aliases the pinned frame and
+// is valid only during the call.
+func (t *Table) walkPageLocked(p storage.PageID, fn func(storage.RID, []byte) error) error {
 	if int(p) >= t.numPages {
 		return fmt.Errorf("heap: page %d out of range (table has %d pages)", p, t.numPages)
 	}
@@ -309,9 +356,6 @@ func (t *Table) scanPageLocked(p storage.PageID, fn func(storage.RID, storage.Tu
 	if err != nil {
 		return err
 	}
-	if err := sp.Validate(); err != nil {
-		return fmt.Errorf("heap: page %d: %w", p, err)
-	}
 	for s := 0; s < sp.NumSlots(); s++ {
 		if !sp.Live(s) {
 			continue
@@ -320,11 +364,7 @@ func (t *Table) scanPageLocked(p storage.PageID, fn func(storage.RID, storage.Tu
 		if err != nil {
 			return err
 		}
-		tu, err := storage.DecodeTuple(t.schema, raw)
-		if err != nil {
-			return err
-		}
-		if err := fn(storage.RID{Page: p, Slot: uint16(s)}, tu); err != nil {
+		if err := fn(storage.RID{Page: p, Slot: uint16(s)}, raw); err != nil {
 			return err
 		}
 	}

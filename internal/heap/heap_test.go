@@ -395,3 +395,104 @@ func TestOpenTableReattaches(t *testing.T) {
 		t.Error("reopen over corrupt page should fail")
 	}
 }
+
+// corruptOnDisk overwrites page p's stored image with an implausible
+// slot count, leaving any resident copy in the pool untouched.
+func corruptOnDisk(t *testing.T, d *buffer.SimDisk, p storage.PageID) {
+	t.Helper()
+	img := make([]byte, buffer.PageSize)
+	if err := d.Read(p, img); err != nil {
+		t.Fatal(err)
+	}
+	img[0], img[1] = 0xFF, 0xFF
+	if err := d.Write(p, img); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptPageRejectedOnAdmission: a page image corrupted in the store
+// after its frame was evicted surfaces as a "heap: page N:" error on
+// every access path, and the pool never admits it — each fetch reads
+// the store and fails again, while healthy pages stay readable.
+func TestCorruptPageRejectedOnAdmission(t *testing.T) {
+	tb, d := newTable(t, 2)
+	payload := strings.Repeat("c", 700)
+	var rids []storage.RID
+	for i := 0; tb.NumPages() < 4; i++ {
+		rid, err := tb.Insert(row(int64(i), payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if err := tb.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	corruptOnDisk(t, d, 0) // resident: the last two pages
+	want := "heap: page 0:"
+	for i := 0; i < 2; i++ {
+		base := d.Stats()
+		_, err := tb.Get(rids[0])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Get %d: err = %v, want %q", i, err, want)
+		}
+		if got := d.Stats().Sub(base).Reads; got != 1 {
+			t.Errorf("Get %d read the store %d times, want 1", i, got)
+		}
+		if got := tb.pool.Resident(); got != 1 {
+			t.Errorf("resident = %d after rejected fetch, want 1 (corrupt image admitted?)", got)
+		}
+	}
+	noTuple := func(storage.RID, storage.Tuple) error { return nil }
+	if err := tb.ScanPage(0, noTuple); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ScanPage: err = %v, want %q", err, want)
+	}
+	noKey := func(storage.RID, storage.Value, []byte) error { return nil }
+	if err := tb.ScanKeys(0, 0, noKey); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ScanKeys: err = %v, want %q", err, want)
+	}
+	if err := tb.ScanPage(1, noTuple); err != nil {
+		t.Errorf("healthy page 1: %v", err)
+	}
+}
+
+// TestScanKeysProjectsColumn: the projected scan yields the same RIDs,
+// keys and tuple bytes as the full-decode scan.
+func TestScanKeysProjectsColumn(t *testing.T) {
+	tb, _ := newTable(t, 8)
+	for i := 0; i < 40; i++ {
+		if _, err := tb.Insert(row(int64(i*3), fmt.Sprintf("p%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := 0; p < tb.NumPages(); p++ {
+		var full []storage.Tuple
+		var rids []storage.RID
+		if err := tb.ScanPage(storage.PageID(p), func(rid storage.RID, tu storage.Tuple) error {
+			full, rids = append(full, tu), append(rids, rid)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for col := 0; col < 2; col++ {
+			n = 0
+			err := tb.ScanKeys(storage.PageID(p), col, func(rid storage.RID, key storage.Value, raw []byte) error {
+				if rid != rids[n] || !key.Equal(full[n].Value(col)) {
+					t.Errorf("page %d col %d #%d: (%v, %v), want (%v, %v)", p, col, n, rid, key, rids[n], full[n].Value(col))
+				}
+				if tu, err := storage.DecodeTuple(tb.Schema(), raw); err != nil || tu.String() != full[n].String() {
+					t.Errorf("page %d #%d: raw decodes to %v, %v", p, n, tu, err)
+				}
+				n++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n != len(full) {
+			t.Errorf("page %d: ScanKeys saw %d tuples, ScanPage %d", p, n, len(full))
+		}
+	}
+}

@@ -124,3 +124,34 @@ func DecodeTuple(s *Schema, buf []byte) (Tuple, error) {
 	}
 	return Tuple{values: values}, nil
 }
+
+// DecodeColumn is the column-projected form of DecodeTuple: it returns
+// only column col of the tuple in buf. It walks every column's encoded
+// length and checks for trailing bytes, so it fails exactly when
+// DecodeTuple fails, but it materialises nothing except the one value —
+// an INTEGER key costs no allocation. Scans use it to test a predicate
+// before paying for a full decode.
+func DecodeColumn(s *Schema, buf []byte, col int) (Value, error) {
+	if col < 0 || col >= s.NumColumns() {
+		return Value{}, fmt.Errorf("storage: column %d out of range (schema has %d)", col, s.NumColumns())
+	}
+	var key Value
+	off := 0
+	for i := 0; i < s.NumColumns(); i++ {
+		var n int
+		var err error
+		if i == col {
+			key, n, err = decodeValue(s.Column(i).Kind, buf[off:])
+		} else {
+			n, err = valueLen(s.Column(i).Kind, buf[off:])
+		}
+		if err != nil {
+			return Value{}, fmt.Errorf("storage: column %q: %w", s.Column(i).Name, err)
+		}
+		off += n
+	}
+	if off != len(buf) {
+		return Value{}, fmt.Errorf("storage: %d trailing bytes after tuple", len(buf)-off)
+	}
+	return key, nil
+}

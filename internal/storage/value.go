@@ -184,3 +184,27 @@ func decodeValue(kind Kind, buf []byte) (Value, int, error) {
 		return Value{}, 0, fmt.Errorf("storage: cannot decode kind %v", kind)
 	}
 }
+
+// valueLen is decodeValue without the value: it returns the encoded
+// length of the value of the given kind at the start of buf, accepting
+// exactly the inputs decodeValue accepts (FuzzDecodeTuple checks this).
+func valueLen(kind Kind, buf []byte) (int, error) {
+	switch kind {
+	case KindInt64:
+		if len(buf) < 8 {
+			return 0, fmt.Errorf("storage: short buffer decoding INTEGER: have %d bytes", len(buf))
+		}
+		return 8, nil
+	case KindString:
+		if len(buf) < 2 {
+			return 0, fmt.Errorf("storage: short buffer decoding VARCHAR length: have %d bytes", len(buf))
+		}
+		n := int(binary.LittleEndian.Uint16(buf))
+		if len(buf) < 2+n {
+			return 0, fmt.Errorf("storage: short buffer decoding VARCHAR body: want %d, have %d", n, len(buf)-2)
+		}
+		return 2 + n, nil
+	default:
+		return 0, fmt.Errorf("storage: cannot decode kind %v", kind)
+	}
+}
