@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -192,7 +193,8 @@ func (s SyncPolicy) policy() wal.SyncPolicy {
 
 // Tenant declares one budget domain for Options.Tenants / CreateTenant.
 type Tenant struct {
-	// Name identifies the tenant; it must be unique and non-empty ("" is
+	// Name identifies the tenant; it must be unique, non-empty and free
+	// of ':', which qualifies tenant tables in the catalog ("" is
 	// the default tenant, which always exists and has no quota).
 	Name string
 	// Quota is the tenant's Index Buffer entry budget carved from
@@ -283,7 +285,7 @@ func OpenExisting(o Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDB(eng, o)
+	return newDB(eng), nil
 }
 
 // Open creates a new database (in-memory unless o.DataDir is set). It
@@ -293,19 +295,11 @@ func Open(o Options) (*DB, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	return newDB(engine.New(engineConfig(o)), o)
+	return newDB(engine.New(engineConfig(o))), nil
 }
 
-// newDB wraps a constructed engine, registering the declared tenants.
-func newDB(eng *engine.Engine, o Options) (*DB, error) {
-	db := &DB{eng: eng, sh: shell.New(eng)}
-	for _, tn := range o.Tenants {
-		if _, err := eng.CreateTenant(tn.Name, tn.Quota, tn.Strict); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
-}
+// newDB wraps a constructed engine.
+func newDB(eng *engine.Engine) *DB { return &DB{eng: eng, sh: shell.New(eng)} }
 
 // MustOpen is Open for tests and examples where invalid options are a
 // programming error; it panics instead of returning one.
@@ -364,6 +358,8 @@ func (o Options) validate() error {
 		switch {
 		case tn.Name == "":
 			return fmt.Errorf("repro: Options.Tenants has an empty tenant name")
+		case strings.Contains(tn.Name, ":"):
+			return fmt.Errorf("repro: tenant name %q must not contain ':'", tn.Name)
 		case tn.Quota < 0:
 			return fmt.Errorf("repro: tenant %q quota %d is negative", tn.Name, tn.Quota)
 		case seen[tn.Name]:
@@ -402,6 +398,9 @@ func engineConfig(o Options) engine.Config {
 			CheckpointEvery: o.WAL.CheckpointEvery,
 			DisableQueryLog: o.WAL.DisableQueryLog,
 		},
+	}
+	for _, tn := range o.Tenants {
+		cfg.Tenants = append(cfg.Tenants, engine.TenantSpec{Name: tn.Name, Quota: tn.Quota, Strict: tn.Strict})
 	}
 	return cfg
 }
@@ -539,7 +538,7 @@ func (t *Table) Insert(values ...any) (RID, error) {
 	if err != nil {
 		return storage.InvalidRID, err
 	}
-	return t.t.Insert(tu)
+	return t.t.InsertCtx(context.Background(), tu)
 }
 
 // Update replaces the row at rid, returning its (possibly new) RID.
@@ -548,11 +547,11 @@ func (t *Table) Update(rid RID, values ...any) (RID, error) {
 	if err != nil {
 		return storage.InvalidRID, err
 	}
-	return t.t.Update(rid, tu)
+	return t.t.UpdateCtx(context.Background(), rid, tu)
 }
 
 // Delete removes the row at rid.
-func (t *Table) Delete(rid RID) error { return t.t.Delete(rid) }
+func (t *Table) Delete(rid RID) error { return t.t.DeleteCtx(context.Background(), rid) }
 
 // columnIndex resolves a column name.
 func (t *Table) columnIndex(column string) (int, error) {
@@ -629,27 +628,16 @@ func (t *Table) Query(column string, key any) ([]Row, QueryStats, error) {
 // runs a (possibly long) table scan, and the scan checks for
 // cancellation between page reads, returning ctx.Err() when the deadline
 // passes or the context is canceled. Index-covered queries are a handful
-// of page fetches and complete regardless.
+// of page fetches and complete regardless. A point query is the range
+// [key, key].
 func (t *Table) QueryCtx(ctx context.Context, column string, key any) ([]Row, QueryStats, error) {
-	i, err := t.columnIndex(column)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	kv, err := toValue(key)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	matches, stats, err := t.t.QueryEqualCtx(ctx, i, kv)
-	if err != nil {
-		return nil, stats, err
-	}
-	return t.rows(matches), stats, nil
+	return t.QueryRangeCtx(ctx, column, key, key)
 }
 
 // QueryRange answers lo <= column <= hi. The partial index serves the
 // query only when its predicate covers the entire interval; any other
-// range runs through the same indexing-scan machinery as a point miss,
-// building the Index Buffer as a side effect. It is QueryRangeCtx with
+// range runs through the indexing-scan machinery, building the Index
+// Buffer as a side effect. It is QueryRangeCtx with
 // context.Background().
 func (t *Table) QueryRange(column string, lo, hi any) ([]Row, QueryStats, error) {
 	return t.QueryRangeCtx(context.Background(), column, lo, hi)
@@ -689,18 +677,10 @@ func (t *Table) rows(matches []exec.Match) []Row {
 	return rows
 }
 
-// Explain plans column = key without executing or touching any Index
-// Buffer state.
+// Explain plans column = key — the range [key, key] — without executing
+// or touching any Index Buffer state.
 func (t *Table) Explain(column string, key any) (Plan, error) {
-	i, err := t.columnIndex(column)
-	if err != nil {
-		return Plan{}, err
-	}
-	kv, err := toValue(key)
-	if err != nil {
-		return Plan{}, err
-	}
-	return t.t.ExplainEqual(i, kv)
+	return t.ExplainRange(column, key, key)
 }
 
 // ExplainRange plans lo <= column <= hi without executing.

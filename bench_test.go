@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -183,7 +184,7 @@ func benchEngine(b *testing.B, cfg core.Config) (*engine.Engine, *engine.Table) 
 	pad := strings.Repeat("b", 220)
 	for i := 0; i < benchRows; i++ {
 		tu := storage.NewTuple(storage.Int64Value(int64(1+rng.Intn(2000))), storage.StringValue(pad))
-		if _, err := tb.Insert(tu); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,7 +246,7 @@ func BenchmarkAblationSelectionOrder(b *testing.B) {
 				skipped := 0
 				const queries = 60
 				for q := 0; q < queries; q++ {
-					_, stats, err := tb.QueryEqual(0, storage.Int64Value(int64(201+rng.Intn(1800))))
+					_, stats, err := tb.QueryEqualCtx(context.Background(), 0, storage.Int64Value(int64(201+rng.Intn(1800))))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -272,7 +273,7 @@ func BenchmarkAblationPartitionSize(b *testing.B) {
 				total := 0
 				const queries = 60
 				for q := 0; q < queries; q++ {
-					_, stats, err := tb.QueryEqual(0, storage.Int64Value(int64(201+rng.Intn(1800))))
+					_, stats, err := tb.QueryEqualCtx(context.Background(), 0, storage.Int64Value(int64(201+rng.Intn(1800))))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -295,7 +296,7 @@ func BenchmarkAblationHistoryDepth(b *testing.B) {
 				rng := rand.New(rand.NewSource(42))
 				b.StartTimer()
 				for q := 0; q < 60; q++ {
-					if _, _, err := tb.QueryEqual(0, storage.Int64Value(int64(201+rng.Intn(1800)))); err != nil {
+					if _, _, err := tb.QueryEqualCtx(context.Background(), 0, storage.Int64Value(int64(201+rng.Intn(1800)))); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -356,7 +357,7 @@ func BenchmarkAblationPoolSize(b *testing.B) {
 				pad := strings.Repeat("b", 220)
 				for r := 0; r < benchRows; r++ {
 					tu := storage.NewTuple(storage.Int64Value(int64(1+rng.Intn(2000))), storage.StringValue(pad))
-					if _, err := tb.Insert(tu); err != nil {
+					if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -366,7 +367,7 @@ func BenchmarkAblationPoolSize(b *testing.B) {
 				before := tb.DiskStats()
 				b.StartTimer()
 				for q := 0; q < 40; q++ {
-					if _, _, err := tb.QueryEqual(0, storage.Int64Value(int64(201+rng.Intn(1800)))); err != nil {
+					if _, _, err := tb.QueryEqualCtx(context.Background(), 0, storage.Int64Value(int64(201+rng.Intn(1800)))); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -408,7 +409,7 @@ func BenchmarkDMLOverhead(b *testing.B) {
 			}
 			var rids []storage.RID
 			for i := 0; i < 5000; i++ {
-				rid, err := tb.Insert(row())
+				rid, err := tb.InsertCtx(context.Background(), row())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -422,7 +423,7 @@ func BenchmarkDMLOverhead(b *testing.B) {
 			// Build buffers so maintenance has live partitions to keep
 			// consistent.
 			for c := 0; c < indexed; c++ {
-				if _, _, err := tb.QueryEqual(c, storage.Int64Value(500)); err != nil {
+				if _, _, err := tb.QueryRangeCtx(context.Background(), c, storage.Int64Value(500), storage.Int64Value(500)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -430,21 +431,21 @@ func BenchmarkDMLOverhead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				switch i % 3 {
 				case 0:
-					rid, err := tb.Insert(row())
+					rid, err := tb.InsertCtx(context.Background(), row())
 					if err != nil {
 						b.Fatal(err)
 					}
 					rids = append(rids, rid)
 				case 1:
 					j := i % len(rids)
-					nr, err := tb.Update(rids[j], row())
+					nr, err := tb.UpdateCtx(context.Background(), rids[j], row())
 					if err != nil {
 						b.Fatal(err)
 					}
 					rids[j] = nr
 				default:
 					j := i % len(rids)
-					if err := tb.Delete(rids[j]); err != nil {
+					if err := tb.DeleteCtx(context.Background(), rids[j]); err != nil {
 						b.Fatal(err)
 					}
 					rids[j] = rids[len(rids)-1]
@@ -504,7 +505,7 @@ func BenchmarkAblationVictimPolicy(b *testing.B) {
 						storage.Int64Value(int64(1+rng.Intn(2000))),
 						storage.StringValue(pad),
 					)
-					if _, err := tb.Insert(tu); err != nil {
+					if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -526,7 +527,7 @@ func BenchmarkAblationVictimPolicy(b *testing.B) {
 					case q%3 == 2:
 						col = 1
 					}
-					_, stats, err := tb.QueryEqual(col, storage.Int64Value(int64(201+qrng.Intn(1800))))
+					_, stats, err := tb.QueryEqualCtx(context.Background(), col, storage.Int64Value(int64(201+qrng.Intn(1800))))
 					if err != nil {
 						b.Fatal(err)
 					}

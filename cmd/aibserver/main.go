@@ -25,12 +25,14 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro"
+	"repro/internal/catalog"
 	"repro/internal/server"
 )
 
@@ -88,12 +90,17 @@ func main() {
 }
 
 // open reopens a DataDir-backed catalog when one exists, else starts
-// fresh — the same fallback aibshell uses.
+// fresh — the same rule aibshell uses. A failed reopen, such as a tenant
+// table whose tenant -tenants no longer declares, is reported rather
+// than answered with a fresh database that would overwrite the catalog.
 func open(opts repro.Options) (*repro.DB, error) {
 	if opts.DataDir != "" {
-		if db, err := repro.OpenExisting(opts); err == nil {
-			fmt.Println("reopened database from", opts.DataDir)
-			return db, nil
+		if _, err := os.Stat(filepath.Join(opts.DataDir, catalog.FileName)); err == nil {
+			db, err := repro.OpenExisting(opts)
+			if err == nil {
+				fmt.Println("reopened database from", opts.DataDir)
+			}
+			return db, err
 		}
 	}
 	return repro.Open(opts)

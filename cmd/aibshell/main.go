@@ -26,31 +26,38 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"repro"
+	"repro/internal/catalog"
 )
 
 func main() {
 	demo := flag.Bool("demo", false, "preload a populated flights table")
 	data := flag.String("data", "", "directory for persistent storage (reopened if a catalog exists)")
 	listen := flag.String("listen", "", "serve /metrics, /timeline and /debug/pprof on this address (e.g. localhost:9090); also enables span recording and timeline sampling")
-	tenant := flag.String("tenant", "", "run as this tenant (registered on the fly with an unlimited quota)")
+	tenant := flag.String("tenant", "", "run as this tenant (declared with an unlimited quota)")
 	flag.Parse()
 
 	opts := repro.Options{IMax: 2000, PartitionPages: 500, DataDir: *data}
-	var db *repro.DB
-	var err error
-	if *data != "" {
-		if db, err = repro.OpenExisting(opts); err == nil {
-			fmt.Println("reopened database from", *data)
-		}
+	if *tenant != "" {
+		// Declared up front, so a reopen binds the tenant's tables to it.
+		opts.Tenants = []repro.Tenant{{Name: *tenant}}
 	}
-	if db == nil {
-		if db, err = repro.Open(opts); err != nil {
-			fmt.Fprintln(os.Stderr, "aibshell: open:", err)
-			os.Exit(1)
-		}
+	open, verb := repro.Open, "open"
+	if _, err := os.Stat(filepath.Join(*data, catalog.FileName)); *data != "" && err == nil {
+		// A failed reopen is fatal: starting fresh would overwrite the
+		// catalog.
+		open, verb = repro.OpenExisting, "reopen"
+	}
+	db, err := open(opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "aibshell: %s: %v\n", verb, err)
+		os.Exit(1)
+	}
+	if verb == "reopen" {
+		fmt.Println("reopened database from", *data)
 	}
 	defer db.Close()
 	if *listen != "" {
@@ -76,10 +83,6 @@ func main() {
 
 	exec := db.Exec
 	if *tenant != "" {
-		if err := db.CreateTenant(repro.Tenant{Name: *tenant}); err != nil {
-			fmt.Fprintln(os.Stderr, "aibshell: tenant:", err)
-			os.Exit(1)
-		}
 		sess, err := db.Session(*tenant)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aibshell: tenant:", err)

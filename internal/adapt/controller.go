@@ -10,6 +10,7 @@
 package adapt
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -108,7 +109,7 @@ func (c *Controller) Stats() Stats { return c.stats }
 // adapted reports whether this query triggered a redefinition (whose
 // rebuild cost the caller may want to charge to it).
 func (c *Controller) Query(key storage.Value) (matches []exec.Match, stats exec.QueryStats, adapted bool, err error) {
-	matches, stats, err = c.table.QueryEqual(c.column, key)
+	matches, stats, err = c.table.QueryRangeCtx(context.Background(), c.column, key, key)
 	if err != nil {
 		return nil, stats, false, err
 	}

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -30,7 +31,7 @@ func intTable(t *testing.T, rows int, domain, covHi int64) *engine.Table {
 	pad := strings.Repeat("a", 300)
 	for i := 0; i < rows; i++ {
 		tu := storage.NewTuple(iv(1+rng.Int63n(domain)), storage.StringValue(pad))
-		if _, err := tb.Insert(tu); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +107,7 @@ func TestAdaptsToShiftedHotRange(t *testing.T) {
 	if !ix.Covers(iv(7500)) {
 		t.Errorf("adapted coverage %s does not cover the hot range", ix.Coverage())
 	}
-	_, stats, err := tb.QueryEqual(0, iv(7123))
+	_, stats, err := tb.QueryRangeCtx(context.Background(), 0, iv(7123), iv(7123))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestAdaptsStringColumnToSetCoverage(t *testing.T) {
 			storage.StringValue(airports[rng.Intn(len(airports))]),
 			storage.StringValue(pad),
 		)
-		if _, err := tb.Insert(tu); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}

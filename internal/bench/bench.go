@@ -13,6 +13,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -135,7 +136,7 @@ func setup(o Options, spaceCfg core.Config, columns int, disableBuffer bool) (*e
 		return nil, nil, err
 	}
 	if err := ds.Generate(func(tu storage.Tuple) error {
-		_, err := tb.Insert(tu)
+		_, err := tb.InsertCtx(context.Background(), tu)
 		return err
 	}); err != nil {
 		return nil, nil, err

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -415,7 +416,7 @@ func TestBufferSkewInsensitive(t *testing.T) {
 			} else {
 				key = uniform(rng)
 			}
-			_, stats, err := tb.QueryEqual(0, intVal(key))
+			_, stats, err := tb.QueryRangeCtx(context.Background(), 0, intVal(key), intVal(key))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/index"
@@ -153,7 +154,7 @@ func RunBridge(o BridgeOptions) (*BridgeResult, error) {
 			key = hot(rng)
 		}
 		for _, sys := range systems {
-			_, stats, err := sys.tb.QueryEqual(0, intVal(key))
+			_, stats, err := sys.tb.QueryRangeCtx(context.Background(), 0, intVal(key), intVal(key))
 			if err != nil {
 				return nil, err
 			}

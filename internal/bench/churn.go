@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 
 	"repro/internal/core"
@@ -106,21 +107,21 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 			r.DML++
 			switch rng.Intn(3) {
 			case 0:
-				rid, err := tb.Insert(row())
+				rid, err := tb.InsertCtx(context.Background(), row())
 				if err != nil {
 					return nil, err
 				}
 				rids = append(rids, rid)
 			case 1:
 				i := rng.Intn(len(rids))
-				if err := tb.Delete(rids[i]); err != nil {
+				if err := tb.DeleteCtx(context.Background(), rids[i]); err != nil {
 					return nil, err
 				}
 				rids[i] = rids[len(rids)-1]
 				rids = rids[:len(rids)-1]
 			default:
 				i := rng.Intn(len(rids))
-				nr, err := tb.Update(rids[i], row())
+				nr, err := tb.UpdateCtx(context.Background(), rids[i], row())
 				if err != nil {
 					return nil, err
 				}
@@ -128,7 +129,8 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 			}
 		} else {
 			r.Queries++
-			_, stats, err := tb.QueryEqual(0, intVal(uncovered(rng)))
+			key := intVal(uncovered(rng))
+			_, stats, err := tb.QueryRangeCtx(context.Background(), 0, key, key)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -116,7 +117,7 @@ func runCorrelationLevel(o CorrelationOptions, keys []int, target float64) (Corr
 	pad := strings.Repeat("c", 400) // ~19 tuples/page, near the paper's 18
 	for _, k := range keys {
 		tu := storage.NewTuple(storage.Int64Value(int64(k)), storage.StringValue(pad))
-		if _, err := tb.Insert(tu); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 			return point, err
 		}
 	}
@@ -141,7 +142,8 @@ func runCorrelationLevel(o CorrelationOptions, keys []int, target float64) (Corr
 	uncoveredKey := func() storage.Value {
 		return storage.Int64Value(coveredBelow + rng.Int63n(int64(o.Rows)-coveredBelow))
 	}
-	_, s1, err := tb.QueryEqual(0, uncoveredKey())
+	key := uncoveredKey()
+	_, s1, err := tb.QueryRangeCtx(context.Background(), 0, key, key)
 	if err != nil {
 		return point, err
 	}
@@ -153,7 +155,8 @@ func runCorrelationLevel(o CorrelationOptions, keys []int, target float64) (Corr
 	total := 0
 	const steadyQueries = 20
 	for q := 0; q < steadyQueries; q++ {
-		_, s, err := tb.QueryEqual(0, uncoveredKey())
+		key := uncoveredKey()
+		_, s, err := tb.QueryRangeCtx(context.Background(), 0, key, key)
 		if err != nil {
 			return point, err
 		}

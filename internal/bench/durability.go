@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -141,7 +142,7 @@ func runDurabilityArm(o Options, name string, policy wal.SyncPolicy) (Durability
 			defer wg.Done()
 			for i := 0; i < o.Queries; i++ {
 				tu := storage.NewTuple(storage.Int64Value(int64(w*o.Queries+i)), payload)
-				if _, err := tb.Insert(tu); err != nil {
+				if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 					errs[w] = err
 					return
 				}

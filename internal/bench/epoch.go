@@ -13,6 +13,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -149,7 +150,7 @@ func runEpochArm(o Options, name string, disable bool) (EpochArmResult, error) {
 	payload := storage.StringValue(strings.Repeat("e", 160))
 	for i := 0; i < epochRows; i++ {
 		tu := storage.NewTuple(storage.Int64Value(int64(i%epochKeyDomain)), payload)
-		if _, err := tb.Insert(tu); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 			loader.Close()
 			return res, err
 		}
@@ -174,7 +175,8 @@ func runEpochArm(o Options, name string, disable bool) (EpochArmResult, error) {
 	}
 	// Warm: after this every covered key is an index hit.
 	for k := 0; k < epochCovered; k++ {
-		if _, _, err := tb.QueryEqual(0, storage.Int64Value(int64(k))); err != nil {
+		key := storage.Int64Value(int64(k))
+		if _, _, err := tb.QueryRangeCtx(context.Background(), 0, key, key); err != nil {
 			return res, err
 		}
 	}
@@ -192,7 +194,7 @@ func runEpochArm(o Options, name string, disable bool) (EpochArmResult, error) {
 		defer wg.Done()
 		for n := epochRows; !stop.Load(); n++ {
 			tu := storage.NewTuple(storage.Int64Value(int64(epochCovered+n%(epochKeyDomain-epochCovered))), payload)
-			if _, err := tb.Insert(tu); err != nil {
+			if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 				writeErr.Store(err)
 				return
 			}
@@ -209,7 +211,7 @@ func runEpochArm(o Options, name string, disable bool) (EpochArmResult, error) {
 			defer rg.Done()
 			for i := 0; i < o.Queries; i++ {
 				key := storage.Int64Value(int64((w + i) % epochCovered))
-				if _, _, err := tb.QueryEqual(0, key); err != nil {
+				if _, _, err := tb.QueryRangeCtx(context.Background(), 0, key, key); err != nil {
 					errs[w] = err
 					return
 				}

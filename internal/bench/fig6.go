@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/metrics"
@@ -78,7 +79,7 @@ func RunFig6(o Options) (*Fig6Result, error) {
 	draw := uncoveredDraw()
 	for q := 0; q < o.Queries; q++ {
 		key := intVal(draw(rng))
-		matches, stats, err := tb.QueryEqual(0, key)
+		matches, stats, err := tb.QueryRangeCtx(context.Background(), 0, key, key)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -96,7 +97,7 @@ func RunFig7(o Options, configs []Fig7Config) (*Fig7Result, error) {
 		buf := tb.Buffer(0)
 		for q := 0; q < o.Queries; q++ {
 			key := intVal(draw(rng))
-			_, stats, err := tb.QueryEqual(0, key)
+			_, stats, err := tb.QueryRangeCtx(context.Background(), 0, key, key)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/workload"
@@ -61,7 +62,7 @@ func RunFig8(o Options) (*Fig8Result, error) {
 		}
 		col := mix.Pick(rng)
 		key := intVal(draw(rng))
-		if _, _, err := tb.QueryEqual(col, key); err != nil {
+		if _, _, err := tb.QueryRangeCtx(context.Background(), col, key, key); err != nil {
 			return nil, err
 		}
 		for c := 0; c < 3; c++ {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/workload"
@@ -72,7 +73,7 @@ func RunFig9(o Options) (*Fig9Result, error) {
 		} else {
 			key = uncovered(rng)
 		}
-		_, stats, err := tb.QueryEqual(col, intVal(key))
+		_, stats, err := tb.QueryRangeCtx(context.Background(), col, intVal(key), intVal(key))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"time"
@@ -78,7 +79,8 @@ func RunParallelScan(o ParallelScanOptions) (*ParallelScanResult, error) {
 			// deterministic for a given (Seed, Goroutines) pair.
 			rng := rand.New(rand.NewSource(o.Seed + 1000 + int64(g)))
 			for i := 0; i < per; i++ {
-				if _, _, err := tb.QueryEqual(0, intVal(draw(rng))); err != nil {
+				key := intVal(draw(rng))
+				if _, _, err := tb.QueryRangeCtx(context.Background(), 0, key, key); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err

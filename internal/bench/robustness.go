@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -233,11 +234,11 @@ func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (Robust
 		op := sc.Next(q, fb)
 		switch op.Kind {
 		case workload.OpQuery:
-			if _, _, err := tb.QueryEqual(op.Column, intVal(op.Key)); err != nil {
+			if _, _, err := tb.QueryRangeCtx(context.Background(), op.Column, intVal(op.Key), intVal(op.Key)); err != nil {
 				return res, err
 			}
 		case workload.OpInsert:
-			rid, err := tb.Insert(storage.NewTuple(
+			rid, err := tb.InsertCtx(context.Background(), storage.NewTuple(
 				intVal(op.Key), intVal(op.Key), intVal(op.Key),
 				storage.StringValue("robustness"),
 			))
@@ -247,7 +248,7 @@ func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (Robust
 			rids = append(rids, rid)
 		case workload.OpDelete:
 			if len(rids) > 0 {
-				if err := tb.Delete(rids[0]); err != nil {
+				if err := tb.DeleteCtx(context.Background(), rids[0]); err != nil {
 					return res, err
 				}
 				rids = rids[1:]

@@ -383,8 +383,12 @@ type enumerator interface {
 // collected across all partitions. Tree-backed partitions use ordered
 // range scans; hash-backed partitions filter a full enumeration — the
 // structural trade-off the paper alludes to when it permits a hash table
-// as the buffer structure.
+// as the buffer structure. A point range [k, k] probes each structure
+// directly instead, so a hash-backed miss never enumerates the buffer.
 func (b *IndexBuffer) LookupRange(lo, hi storage.Value) []storage.RID {
+	if lo.Equal(hi) {
+		return b.Lookup(lo)
+	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	var out []storage.RID

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +14,8 @@ import (
 	"testing"
 
 	"repro/internal/buffer"
+	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -124,7 +128,7 @@ func (r *crashRig) apply(op crashOp) error {
 			storage.Int64Value(op.k), storage.Int64Value(op.k2),
 			storage.StringValue(strings.Repeat("p", op.pad)),
 		)
-		rid, err := tb.Insert(tu)
+		rid, err := tb.InsertCtx(context.Background(), tu)
 		if err != nil {
 			return err
 		}
@@ -138,7 +142,7 @@ func (r *crashRig) apply(op crashOp) error {
 			storage.Int64Value(op.k), storage.Int64Value(op.k2),
 			storage.StringValue(strings.Repeat("q", op.pad)),
 		)
-		newRID, err := tb.Update((*rids)[i], tu)
+		newRID, err := tb.UpdateCtx(context.Background(), (*rids)[i], tu)
 		if err != nil {
 			return err
 		}
@@ -148,16 +152,16 @@ func (r *crashRig) apply(op crashOp) error {
 			return nil
 		}
 		i := int(op.pick % int64(len(*rids)))
-		if err := tb.Delete((*rids)[i]); err != nil {
+		if err := tb.DeleteCtx(context.Background(), (*rids)[i]); err != nil {
 			return err
 		}
 		*rids = append((*rids)[:i], (*rids)[i+1:]...)
 	case opQueryEqual:
-		_, _, err := tb.QueryEqual(0, storage.Int64Value(op.k))
+		_, _, err := tb.QueryRangeCtx(context.Background(), 0, storage.Int64Value(op.k), storage.Int64Value(op.k))
 		return err
 	case opQueryRange:
 		lo, hi := op.k, op.k+10
-		_, _, err := tb.QueryRange(0, storage.Int64Value(lo), storage.Int64Value(hi))
+		_, _, err := tb.QueryRangeCtx(context.Background(), 0, storage.Int64Value(lo), storage.Int64Value(hi))
 		return err
 	case opCheckpoint:
 		if r.eng.wal != nil {
@@ -200,11 +204,11 @@ func diffRigs(t *testing.T, label string, got, want *crashRig) {
 		// Query results must agree too (probe both the covered range and
 		// the miss range).
 		for _, key := range []int64{5, 50, 150} {
-			gm, _, err := got.eng.Table(name).QueryEqual(0, storage.Int64Value(key))
+			gm, _, err := got.eng.Table(name).QueryRangeCtx(context.Background(), 0, storage.Int64Value(key), storage.Int64Value(key))
 			if err != nil {
 				t.Fatalf("%s: recovered query: %v", label, err)
 			}
-			wm, _, err := want.tables[i].QueryEqual(0, storage.Int64Value(key))
+			wm, _, err := want.tables[i].QueryRangeCtx(context.Background(), 0, storage.Int64Value(key), storage.Int64Value(key))
 			if err != nil {
 				t.Fatalf("%s: oracle query: %v", label, err)
 			}
@@ -484,7 +488,7 @@ func TestRewarmRegistersConvergenceEpisode(t *testing.T) {
 	// Queries beyond the indexed range miss and are logged; the final
 	// insert's group commit flushes their records to disk.
 	for i := 0; i < 12; i++ {
-		if _, _, err := rig.tables[0].QueryEqual(0, storage.Int64Value(30+int64(i))); err != nil {
+		if _, _, err := rig.tables[0].QueryRangeCtx(context.Background(), 0, storage.Int64Value(30+int64(i)), storage.Int64Value(30+int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -521,6 +525,110 @@ func TestRewarmRegistersConvergenceEpisode(t *testing.T) {
 	// The tail is consumed: a second Rewarm is a no-op.
 	if n2, err := recovered.Rewarm(context.Background()); err != nil || n2 != 0 {
 		t.Fatalf("second Rewarm = (%d, %v), want (0, nil)", n2, err)
+	}
+}
+
+// TestEpochRewarmReplaysParentPointRecord appends a query record in the
+// layout older logs carry for a point query — point flag byte 1, Lo ==
+// Hi — and requires recovery to keep it and Rewarm to replay it as the
+// range [k, k], warming the buffer exactly as the live query does.
+func TestEpochRewarmReplaysParentPointRecord(t *testing.T) {
+	ctx := context.Background()
+	cfg := func(dir string) Config {
+		return Config{DataDir: dir, Space: core.Config{IMax: 1000, P: 100}}
+	}
+	build := func(dir string) *Engine {
+		e := New(cfg(dir))
+		schema := storage.MustSchema(
+			storage.Column{Name: "k", Kind: storage.KindInt64},
+			storage.Column{Name: "pad", Kind: storage.KindString},
+		)
+		tb, err := e.CreateTable("t", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			if _, err := tb.InsertCtx(ctx, storage.NewTuple(iv(int64(i%50)), storage.StringValue(strings.Repeat("p", 300)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tb.CreatePartialIndex(0, index.IntRange(0, 9)); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	live := build(t.TempDir())
+	defer live.Close()
+	if _, _, err := live.Table("t").QueryRangeCtx(ctx, 0, iv(30), iv(30)); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := build(dir).Close(); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := catalog.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := wal.Replay(walDir(dir), 0, func(*wal.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn := max(uint64(info.Next), cat.CheckpointLSN+1)
+	payload := binary.LittleEndian.AppendUint64(nil, lsn)
+	payload = append(payload, byte(wal.KindQuery))
+	payload = binary.LittleEndian.AppendUint16(payload, 1)
+	payload = append(payload, 't')
+	payload = binary.LittleEndian.AppendUint32(payload, 0) // column
+	payload = append(payload, 1)                           // point flag
+	for i := 0; i < 2; i++ {                               // Lo, Hi: int64 30
+		payload = append(payload, 1)
+		payload = binary.LittleEndian.AppendUint64(payload, 30)
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = append(frame, payload...)
+	segs, err := filepath.Glob(filepath.Join(walDir(dir), "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(walDir(dir), fmt.Sprintf("wal-%016x.seg", lsn))
+	if len(segs) > 0 {
+		sort.Strings(segs)
+		seg = segs[len(segs)-1]
+	}
+	f, err := os.OpenFile(seg, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, err := Load(cfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if got := recovered.RecoveryStats().QueryTail; got != 1 {
+		t.Fatalf("QueryTail = %d, want 1", got)
+	}
+	if n, err := recovered.Rewarm(ctx); err != nil || n != 1 {
+		t.Fatalf("Rewarm = (%d, %v), want (1, nil)", n, err)
+	}
+	got, want := recovered.Table("t").Buffer(0), live.Table("t").Buffer(0)
+	if got.EntryCount() == 0 || got.EntryCount() != want.EntryCount() || got.BufferedPages() != want.BufferedPages() {
+		t.Fatalf("rewarmed buffer: %d entries on %d pages, live query built %d on %d",
+			got.EntryCount(), got.BufferedPages(), want.EntryCount(), want.BufferedPages())
+	}
+	for p := 0; p < live.Table("t").NumPages(); p++ {
+		if g, w := got.Counter(storage.PageID(p)), want.Counter(storage.PageID(p)); g != w {
+			t.Fatalf("C[%d] = %d after rewarm, %d after the live query", p, g, w)
+		}
 	}
 }
 
@@ -598,7 +706,7 @@ func TestVacuumCrashBeforeCatalogRepublish(t *testing.T) {
 			storage.Int64Value(int64(i%200+1)), storage.Int64Value(int64(i)),
 			storage.StringValue(strings.Repeat("x", 300)),
 		)
-		rid, err := tb.Insert(tu)
+		rid, err := tb.InsertCtx(context.Background(), tu)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -608,7 +716,7 @@ func TestVacuumCrashBeforeCatalogRepublish(t *testing.T) {
 		}
 	}
 	for i := 0; i < 45; i++ {
-		if err := tb.Delete(rids[i]); err != nil {
+		if err := tb.DeleteCtx(context.Background(), rids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

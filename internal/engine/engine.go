@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,6 +99,11 @@ type Config struct {
 	// WAL configures crash-consistent durability for DataDir-backed
 	// engines; see WALConfig. Ignored without a DataDir.
 	WAL WALConfig
+
+	// Tenants declares the budget domains registered as the engine is
+	// built — before Load binds each recovered tenant table, so the
+	// table's buffers charge its tenant's quota from the first query.
+	Tenants []TenantSpec
 
 	// wrapStore, when set, wraps every table's page store as it is
 	// created or reopened — the crash-test hook for interposing a
@@ -189,8 +195,16 @@ const (
 // fail New (its signature predates durability); instead the engine
 // refuses DML with the initialization error, so nothing runs silently
 // non-durable.
+//
+// New panics on an invalid cfg.Tenants declaration (see CreateTenant):
+// the database options are validated before any engine is built, so
+// only a programming error reaches it. Load returns the same failure as
+// an error.
 func New(cfg Config) *Engine {
-	e := newEngine(cfg)
+	e, err := newEngine(cfg)
+	if err != nil {
+		panic(err)
+	}
 	if cfg.DataDir != "" && !cfg.WAL.Disable {
 		w, err := wal.Create(walDir(cfg.DataDir), walOptions(cfg))
 		if err != nil {
@@ -203,10 +217,10 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// newEngine builds the engine skeleton shared by New and Load; it never
-// touches the WAL directory (Load must replay it before a writer may
-// start a new segment).
-func newEngine(cfg Config) *Engine {
+// newEngine builds the engine skeleton shared by New and Load and
+// registers the declared tenants; it never touches the WAL directory
+// (Load must replay it before a writer may start a new segment).
+func newEngine(cfg Config) (*Engine, error) {
 	if cfg.PoolPages <= 0 {
 		cfg.PoolPages = defaultPoolPages
 	}
@@ -228,7 +242,12 @@ func newEngine(cfg Config) *Engine {
 	// timeline; both consumers gate on their own atomic enable flag, so
 	// the attached observer is free while recording is off.
 	e.space.SetObserver(spaceSpans{tr: e.tracer, tl: e.timeline})
-	return e
+	for _, tn := range cfg.Tenants {
+		if _, err := e.createTenant(tn.Name, tn.Quota, tn.Strict); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
 }
 
 // spaceSpans fans core.Observer events out to the tracer's span ring
@@ -414,10 +433,14 @@ func (e *Engine) CreateTable(name string, schema *storage.Schema) (*Table, error
 }
 
 // createTable registers a table under its qualified catalog name; tn is
-// the owning tenant (nil = default).
+// the owning tenant (nil = default). Only a tenant table's name carries
+// the ':' qualifier, which is how Load finds its owner again.
 func (e *Engine) createTable(tn *core.Tenant, name string, schema *storage.Schema) (*Table, error) {
 	if err := e.checkOpen(); err != nil {
 		return nil, err
+	}
+	if tn == nil && strings.Contains(name, ":") {
+		return nil, fmt.Errorf("engine: table name %q: ':' qualifies tenant tables", name)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -673,18 +696,14 @@ func (t *Table) redefineIndex(column int, cov index.Coverage) error {
 	return nil
 }
 
-// Insert adds a tuple, maintaining every index and Index Buffer. On
-// WAL-backed engines the operation is durable when Insert returns (per
-// the sync policy): the record carries the dirtied page's full image,
-// and Commit blocks until the log reaches stable storage.
-func (t *Table) Insert(tu storage.Tuple) (storage.RID, error) {
-	return t.InsertCtx(context.Background(), tu)
-}
-
-// InsertCtx is Insert carrying statement context: a flight-recorded
-// statement attributes the WAL commit latency and group-commit batch to
-// its record. The insert itself does not honor cancellation (a started
-// mutation always completes and commits).
+// InsertCtx adds a tuple, maintaining every index and Index Buffer. On
+// WAL-backed engines the operation is durable when InsertCtx returns
+// (per the sync policy): the record carries the dirtied page's full
+// image, and Commit blocks until the log reaches stable storage. ctx
+// carries the statement: a flight-recorded statement attributes the WAL
+// commit latency and group-commit batch to its record. The insert
+// itself does not honor cancellation (a started mutation always
+// completes and commits).
 func (t *Table) InsertCtx(ctx context.Context, tu storage.Tuple) (storage.RID, error) {
 	if err := t.engine.checkOpen(); err != nil {
 		return storage.InvalidRID, err
@@ -732,13 +751,8 @@ func (t *Table) Get(rid storage.RID) (storage.Tuple, error) {
 	return t.heap.Get(rid)
 }
 
-// Delete removes the tuple at rid, maintaining indexes and buffers.
-// Durable on return for WAL-backed engines, like Insert.
-func (t *Table) Delete(rid storage.RID) error {
-	return t.DeleteCtx(context.Background(), rid)
-}
-
-// DeleteCtx is Delete carrying statement context; see InsertCtx.
+// DeleteCtx removes the tuple at rid, maintaining indexes and buffers.
+// Durable on return for WAL-backed engines; see InsertCtx.
 func (t *Table) DeleteCtx(ctx context.Context, rid storage.RID) error {
 	if err := t.engine.checkOpen(); err != nil {
 		return err
@@ -768,18 +782,13 @@ func (t *Table) DeleteCtx(ctx context.Context, rid storage.RID) error {
 			b.MaintainDelete(v, rid, wasInIX)
 		}
 	}
-	t.endMutate() // before the WAL append; see Insert
+	t.endMutate() // before the WAL append; see InsertCtx
 	return t.logDML(fa, wal.KindDelete, rid, storage.InvalidRID, rid.Page)
 }
 
-// Update replaces the tuple at rid, returning the possibly relocated RID
-// and maintaining indexes and buffers per the paper's Table I. Durable
-// on return for WAL-backed engines.
-func (t *Table) Update(rid storage.RID, tu storage.Tuple) (storage.RID, error) {
-	return t.UpdateCtx(context.Background(), rid, tu)
-}
-
-// UpdateCtx is Update carrying statement context; see InsertCtx.
+// UpdateCtx replaces the tuple at rid, returning the possibly relocated
+// RID and maintaining indexes and buffers per the paper's Table I.
+// Durable on return for WAL-backed engines; see InsertCtx.
 func (t *Table) UpdateCtx(ctx context.Context, rid storage.RID, tu storage.Tuple) (storage.RID, error) {
 	if err := t.engine.checkOpen(); err != nil {
 		return storage.InvalidRID, err
@@ -823,7 +832,7 @@ func (t *Table) UpdateCtx(ctx context.Context, rid storage.RID, tu storage.Tuple
 			b.MaintainUpdate(oldV, newV, rid, newRID, oldIn, newIn)
 		}
 	}
-	t.endMutate() // before the WAL append; see Insert
+	t.endMutate() // before the WAL append; see InsertCtx
 	if err := t.logDML(fa, wal.KindUpdate, newRID, rid, rid.Page, newRID.Page); err != nil {
 		return newRID, err
 	}
@@ -846,14 +855,16 @@ func (t *Table) Count() (int, error) {
 	return n, err
 }
 
-// QueryEqual answers column = key through the best available access
-// path, maintaining the Index Buffer machinery as a side effect.
-func (t *Table) QueryEqual(column int, key storage.Value) ([]exec.Match, exec.QueryStats, error) {
-	return t.QueryEqualCtx(context.Background(), column, key)
+// QueryEqualCtx answers column = key: the range [key, key].
+func (t *Table) QueryEqualCtx(ctx context.Context, column int, key storage.Value) ([]exec.Match, exec.QueryStats, error) {
+	return t.QueryRangeCtx(ctx, column, key, key)
 }
 
-// QueryEqualCtx is QueryEqual honoring ctx: a long indexing or full scan
-// checks for cancellation between page reads and returns ctx.Err().
+// QueryRangeCtx answers lo <= column <= hi through the best available
+// access path, maintaining the Index Buffer machinery as a side effect.
+// The partial index serves the query only when its predicate covers the
+// whole interval. A long indexing or full scan checks ctx between page
+// reads and returns ctx.Err().
 //
 // Locking: the query is first planned under the table's read lock. A
 // partial-index hit or a plain full scan executes right there — multiple
@@ -864,76 +875,12 @@ func (t *Table) QueryEqual(column int, key storage.Value) ([]exec.Match, exec.Qu
 // forming on the same column (see queryShared); the plan is implicitly
 // re-validated because exec.ExecuteShared re-dispatches on the state it
 // finds under the write lock.
-func (t *Table) QueryEqualCtx(ctx context.Context, column int, key storage.Value) ([]exec.Match, exec.QueryStats, error) {
-	matches, stats, err := t.queryEqualCtx(ctx, column, key)
-	if err == nil {
-		// Best-effort query record (no Commit; rides the next fsync) so
-		// recovery can replay the workload tail and re-warm the buffers.
-		t.logQuery(column, true, key, key)
-	}
-	return matches, stats, err
-}
-
-func (t *Table) queryEqualCtx(ctx context.Context, column int, key storage.Value) ([]exec.Match, exec.QueryStats, error) {
-	if err := t.engine.checkOpen(); err != nil {
-		return nil, exec.QueryStats{}, err
-	}
-
-	// Epoch-based lock-free hit path first; only probes the immutable
-	// snapshots cannot answer fall through to the lock (readpath.go).
-	if !t.engine.cfg.DisableEpochReadPath {
-		if m, stats, ok := t.fastEqual(column, key); ok {
-			t.noteFlight(ctx, column, stats, false)
-			return m, stats, nil
-		}
-	}
-
-	t.mu.RLock()
-	a, err := t.accessLocked(ctx, column)
-	if err != nil {
-		t.mu.RUnlock()
-		return nil, exec.QueryStats{}, err
-	}
-	if !a.NeedsIndexingScan(key) {
-		defer t.mu.RUnlock()
-		return t.runEqual(ctx, a, column, key)
-	}
-	if degrade, err := t.admitMiss(&a); err != nil {
-		t.mu.RUnlock()
-		return nil, exec.QueryStats{}, err
-	} else if degrade {
-		defer t.mu.RUnlock()
-		return t.runEqual(ctx, a, column, key)
-	}
-	t.mu.RUnlock()
-
-	return t.queryShared(ctx, column, key, key, true)
-}
-
-func (t *Table) runEqual(ctx context.Context, a exec.Access, column int, key storage.Value) ([]exec.Match, exec.QueryStats, error) {
-	matches, stats, err := exec.Equal(ctx, a, key)
-	if err == nil {
-		t.engine.noteScanWorkers(stats)
-		t.engine.tracer.Record(t.name, t.schema.Column(column).Name, stats)
-		t.sampleTimeline(column, stats, false, a.Buffer)
-		t.noteFlight(ctx, column, stats, false)
-	}
-	return matches, stats, err
-}
-
-// QueryRange answers lo <= column <= hi. The partial index serves the
-// query only when its predicate covers the whole interval; otherwise the
-// query runs through the same indexing-scan machinery as a point miss.
-func (t *Table) QueryRange(column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
-	return t.QueryRangeCtx(context.Background(), column, lo, hi)
-}
-
-// QueryRangeCtx is QueryRange honoring ctx; see QueryEqualCtx for the
-// locking protocol.
 func (t *Table) QueryRangeCtx(ctx context.Context, column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
 	matches, stats, err := t.queryRangeCtx(ctx, column, lo, hi)
 	if err == nil {
-		t.logQuery(column, false, lo, hi)
+		// Best-effort query record (no Commit; rides the next fsync) so
+		// recovery can replay the workload tail and re-warm the buffers.
+		t.logQuery(column, lo, hi)
 	}
 	return matches, stats, err
 }
@@ -943,9 +890,10 @@ func (t *Table) queryRangeCtx(ctx context.Context, column int, lo, hi storage.Va
 		return nil, exec.QueryStats{}, err
 	}
 
+	// Epoch-based lock-free hit path first; only probes the immutable
+	// snapshots cannot answer fall through to the lock (readpath.go).
 	if !t.engine.cfg.DisableEpochReadPath {
-		if m, stats, ok := t.fastRange(column, lo, hi); ok {
-			t.noteFlight(ctx, column, stats, false)
+		if m, stats, ok := t.fastQuery(ctx, column, lo, hi); ok {
 			return m, stats, nil
 		}
 	}
@@ -969,32 +917,21 @@ func (t *Table) queryRangeCtx(ctx context.Context, column int, lo, hi storage.Va
 	}
 	t.mu.RUnlock()
 
-	return t.queryShared(ctx, column, lo, hi, false)
+	return t.queryShared(ctx, column, lo, hi)
 }
 
+// runRange executes a query that mutates no Index Buffer — a hit, a full
+// scan or a quota-degraded scan — under the caller's read lock.
 func (t *Table) runRange(ctx context.Context, a exec.Access, column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
 	matches, stats, err := exec.Range(ctx, a, lo, hi)
 	if err == nil {
-		t.engine.noteScanWorkers(stats)
-		t.engine.tracer.Record(t.name, t.schema.Column(column).Name, stats)
-		t.sampleTimeline(column, stats, false, a.Buffer)
-		t.noteFlight(ctx, column, stats, false)
+		t.observe(ctx, column, stats, false)
 	}
 	return matches, stats, err
 }
 
-// ExplainEqual plans column = key without executing or mutating state.
-func (t *Table) ExplainEqual(column int, key storage.Value) (exec.Plan, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	a, err := t.accessLocked(context.Background(), column)
-	if err != nil {
-		return exec.Plan{}, err
-	}
-	return exec.ExplainEqual(a, key), nil
-}
-
-// ExplainRange plans lo <= column <= hi without executing.
+// ExplainRange plans lo <= column <= hi without executing or mutating
+// state.
 func (t *Table) ExplainRange(column int, lo, hi storage.Value) (exec.Plan, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -1043,50 +980,52 @@ func (t *Table) accessLocked(ctx context.Context, column int) (exec.Access, erro
 	return a, nil
 }
 
-// sampleTimeline records one query boundary in the adaptation timeline:
-// the queried column's mechanism mix and buffer state, plus a resample
-// of any buffer dirtied by adaptive events (e.g. a displacement victim
-// on another table) since the last boundary. buf is the queried
-// column's buffer as the caller resolved it — under the table lock
-// (t.buffers) or from a published readState (the lock-free hit path,
-// which holds no table lock at all). The timeline recorder's lock is a
-// strict leaf and dirty buffers are resolved through the Space
-// (Space.mu is below Table.mu in the documented order, and safe with
-// no table lock held). Gated on one atomic load, so the disabled path
-// allocates nothing.
-func (t *Table) sampleTimeline(column int, stats exec.QueryStats, follower bool, buf *core.IndexBuffer) {
-	tl := t.engine.timeline
-	if !tl.Enabled() {
-		return
+// observe reports one successful query's outcome to every per-query
+// observer: the parallel-scan counters, the tracer, the adaptation
+// timeline and the statement's flight record. The fast-hit, locked and
+// shared paths all call it once per query, on the query's own goroutine
+// (the flight record belongs to that goroutine's statement). follower
+// marks a query that rode along on another's shared scan: its wall time
+// is spent waiting on the leader, so the tracer and the timeline file
+// it under a mechanism of its own to keep the scan histograms honest.
+//
+// The timeline resolves the column's buffer from the published
+// readState, which is safe with no table lock held; the timeline
+// recorder's lock is a strict leaf and dirty buffers are resolved
+// through the Space (Space.mu is below Table.mu in the documented
+// order). Timeline and flight recorder each gate on one atomic load, so
+// the disabled paths allocate nothing.
+func (t *Table) observe(ctx context.Context, column int, stats exec.QueryStats, follower bool) {
+	e := t.engine
+	e.noteScanWorkers(stats)
+	col := t.schema.Column(column).Name
+	if follower {
+		e.tracer.RecordFollower(t.name, col, stats)
+	} else {
+		e.tracer.Record(t.name, col, stats)
 	}
-	var mech timeline.Mechanism
-	switch {
-	case stats.PartialHit:
-		mech = timeline.MechHit
-	case follower:
-		mech = timeline.MechFollower
-	case stats.FullScan, stats.QuotaDegraded:
-		// A quota-degraded pass is a non-indexing scan: for the timeline's
-		// mechanism mix it counts with the full scans, since it adapts
-		// nothing (the tenant's degraded counter tracks it separately).
-		mech = timeline.MechFullScan
-	default:
-		mech = timeline.MechIndexingScan
+	if tl := e.timeline; tl.Enabled() {
+		var mech timeline.Mechanism
+		switch {
+		case stats.PartialHit:
+			mech = timeline.MechHit
+		case follower:
+			mech = timeline.MechFollower
+		case stats.FullScan, stats.QuotaDegraded:
+			// A quota-degraded pass is a non-indexing scan: for the
+			// timeline's mechanism mix it counts with the full scans, since
+			// it adapts nothing (the tenant's degraded counter tracks it
+			// separately).
+			mech = timeline.MechFullScan
+		default:
+			mech = timeline.MechIndexingScan
+		}
+		tl.ObserveQuery(t.name, col, mech, t.read.Load().buffers[column], e.space.Buffer)
 	}
-	tl.ObserveQuery(t.name, t.schema.Column(column).Name, mech, buf, t.engine.space.Buffer)
-}
-
-// noteFlight contributes one executed query's outcome to the calling
-// statement's flight record: attribution, mechanism (the tracer's
-// vocabulary), matches and the paper's page accounting. Gated on one
-// atomic load while the recorder is off.
-func (t *Table) noteFlight(ctx context.Context, column int, stats exec.QueryStats, follower bool) {
-	fa := t.engine.flightActive(ctx)
-	if fa == nil {
-		return
+	if fa := e.flightActive(ctx); fa != nil {
+		mech := flight.Mechanism(stats.PartialHit, follower, stats.FullScan, stats.QuotaDegraded)
+		fa.Query(t.name, col, mech, stats.Matches, stats.PagesRead, stats.PagesSkipped, stats.QuotaDegraded)
 	}
-	mech := flight.Mechanism(stats.PartialHit, follower, stats.FullScan, stats.QuotaDegraded)
-	fa.Query(t.name, t.schema.Column(column).Name, mech, stats.Matches, stats.PagesRead, stats.PagesSkipped, stats.QuotaDegraded)
 }
 
 // noteSpan emits one admission-layer span to the global stream (stamped

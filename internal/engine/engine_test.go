@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -42,7 +43,7 @@ func newABC(t *testing.T, cfg Config, rows, domain int) (*Engine, *Table) {
 			iv(1+rng.Int63n(int64(domain))),
 			storage.StringValue(strings.Repeat("x", 1+rng.Intn(256))),
 		)
-		if _, err := tb.Insert(tu); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +119,7 @@ func TestQueryHitUsesIndex(t *testing.T) {
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 50)); err != nil {
 		t.Fatal(err)
 	}
-	matches, stats, err := tb.QueryEqual(0, iv(25))
+	matches, stats, err := tb.QueryRangeCtx(context.Background(), 0, iv(25), iv(25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestQueryMissBuildsBufferAndSpeedsUp(t *testing.T) {
 	}
 	numPages := tb.NumPages()
 
-	_, s1, err := tb.QueryEqual(0, iv(90))
+	_, s1, err := tb.QueryRangeCtx(context.Background(), 0, iv(90), iv(90))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestQueryMissBuildsBufferAndSpeedsUp(t *testing.T) {
 
 	// With unlimited space and IMax >= pages, one scan fully indexes the
 	// table; the second miss reads only match pages.
-	_, s2, err := tb.QueryEqual(0, iv(91))
+	_, s2, err := tb.QueryRangeCtx(context.Background(), 0, iv(91), iv(91))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestQueryMissWithoutBufferFullScans(t *testing.T) {
 	if tb.Buffer(0) != nil {
 		t.Fatal("buffer created despite DisableIndexBuffer")
 	}
-	_, stats, err := tb.QueryEqual(0, iv(90))
+	_, stats, err := tb.QueryRangeCtx(context.Background(), 0, iv(90), iv(90))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestQueryMissWithoutBufferFullScans(t *testing.T) {
 		t.Errorf("stats = %+v, want full scan of %d pages", stats, tb.NumPages())
 	}
 	// Repeat is just as expensive: nothing adapted.
-	_, stats2, _ := tb.QueryEqual(0, iv(90))
+	_, stats2, _ := tb.QueryRangeCtx(context.Background(), 0, iv(90), iv(90))
 	if stats2.PagesRead != stats.PagesRead {
 		t.Error("baseline engine should not speed up")
 	}
@@ -254,7 +255,7 @@ func TestQueryCorrectnessUnderRandomWorkload(t *testing.T) {
 				iv(1+rng.Int63n(60)), iv(1+rng.Int63n(60)), iv(1+rng.Int63n(60)),
 				storage.StringValue(strings.Repeat("y", 1+rng.Intn(200))),
 			)
-			rid, err := tb.Insert(tu)
+			rid, err := tb.InsertCtx(context.Background(), tu)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +265,7 @@ func TestQueryCorrectnessUnderRandomWorkload(t *testing.T) {
 				continue
 			}
 			i := rng.Intn(len(rids))
-			if err := tb.Delete(rids[i]); err != nil {
+			if err := tb.DeleteCtx(context.Background(), rids[i]); err != nil {
 				t.Fatal(err)
 			}
 			rids[i] = rids[len(rids)-1]
@@ -278,7 +279,7 @@ func TestQueryCorrectnessUnderRandomWorkload(t *testing.T) {
 				iv(1+rng.Int63n(60)), iv(1+rng.Int63n(60)), iv(1+rng.Int63n(60)),
 				storage.StringValue(strings.Repeat("z", 1+rng.Intn(400))),
 			)
-			nr, err := tb.Update(rids[i], tu)
+			nr, err := tb.UpdateCtx(context.Background(), rids[i], tu)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,7 +288,7 @@ func TestQueryCorrectnessUnderRandomWorkload(t *testing.T) {
 			col := rng.Intn(3)
 			key := iv(1 + rng.Int63n(60))
 			want := queryGroundTruth(t, tb, col, key)
-			got, _, err := tb.QueryEqual(col, key)
+			got, _, err := tb.QueryRangeCtx(context.Background(), col, key, key)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +303,7 @@ func TestRedefineIndexResetsBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build up the buffer with a miss.
-	if _, _, err := tb.QueryEqual(0, iv(90)); err != nil {
+	if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(90), iv(90)); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Buffer(0).EntryCount() == 0 {
@@ -317,7 +318,7 @@ func TestRedefineIndexResetsBuffer(t *testing.T) {
 		t.Error("buffer survived redefinition")
 	}
 	// New coverage answers 90 from the index now.
-	_, stats, err := tb.QueryEqual(0, iv(90))
+	_, stats, err := tb.QueryRangeCtx(context.Background(), 0, iv(90), iv(90))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestRedefineIndexResetsBuffer(t *testing.T) {
 	}
 	// And a miss on the new uncovered range is still correct.
 	want := queryGroundTruth(t, tb, 0, iv(10))
-	got, _, err := tb.QueryEqual(0, iv(10))
+	got, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(10), iv(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestRedefineIndexResetsBuffer(t *testing.T) {
 
 func TestQueryEqualBadColumn(t *testing.T) {
 	_, tb := newABC(t, Config{}, 10, 10)
-	if _, _, err := tb.QueryEqual(99, iv(1)); err == nil {
+	if _, _, err := tb.QueryRangeCtx(context.Background(), 99, iv(1), iv(1)); err == nil {
 		t.Error("bad column should fail")
 	}
 }
@@ -350,7 +351,7 @@ func TestEngineStatsSurfaces(t *testing.T) {
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tb.QueryEqual(0, iv(40)); err != nil {
+	if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(40), iv(40)); err != nil {
 		t.Fatal(err)
 	}
 	if tb.DiskStats().Reads == 0 {
@@ -385,7 +386,7 @@ func TestQueryRangeThroughEngine(t *testing.T) {
 	}
 
 	// Covered range: partial index hit.
-	got, stats, err := tb.QueryRange(0, iv(10), iv(20))
+	got, stats, err := tb.QueryRangeCtx(context.Background(), 0, iv(10), iv(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +396,7 @@ func TestQueryRangeThroughEngine(t *testing.T) {
 	sameMatches(t, got, groundTruth(10, 20), "covered range")
 
 	// Straddling range: miss that builds the buffer, result complete.
-	got, stats, err = tb.QueryRange(0, iv(40), iv(70))
+	got, stats, err = tb.QueryRangeCtx(context.Background(), 0, iv(40), iv(70))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +406,7 @@ func TestQueryRangeThroughEngine(t *testing.T) {
 	sameMatches(t, got, groundTruth(40, 70), "straddling range")
 
 	// Second straddling range skips everything yet stays complete.
-	got, stats, err = tb.QueryRange(0, iv(30), iv(80))
+	got, stats, err = tb.QueryRangeCtx(context.Background(), 0, iv(30), iv(80))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +416,7 @@ func TestQueryRangeThroughEngine(t *testing.T) {
 	sameMatches(t, got, groundTruth(30, 80), "post-buildout range")
 
 	// Bad column surfaces an error.
-	if _, _, err := tb.QueryRange(99, iv(1), iv(2)); err == nil {
+	if _, _, err := tb.QueryRangeCtx(context.Background(), 99, iv(1), iv(2)); err == nil {
 		t.Error("bad column should fail")
 	}
 }
@@ -441,7 +442,7 @@ func TestRangeAndDMLInterleaved(t *testing.T) {
 				iv(1+rng.Int63n(60)), iv(1+rng.Int63n(60)), iv(1+rng.Int63n(60)),
 				storage.StringValue(strings.Repeat("m", 1+rng.Intn(300))),
 			)
-			nr, err := tb.Update(rids[i], tu)
+			nr, err := tb.UpdateCtx(context.Background(), rids[i], tu)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -458,7 +459,7 @@ func TestRangeAndDMLInterleaved(t *testing.T) {
 			}
 			return nil
 		})
-		got, _, err := tb.QueryRange(0, iv(lo), iv(hi))
+		got, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(lo), iv(hi))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,21 +483,21 @@ func TestEngineFileBackedStore(t *testing.T) {
 	pad := strings.Repeat("f", 400)
 	for i := 0; i < 500; i++ {
 		tu := storage.NewTuple(iv(int64(i%100)), storage.StringValue(pad))
-		if _, err := tb.Insert(tu); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := tb.CreatePartialIndex(0, index.IntRange(0, 49)); err != nil {
 		t.Fatal(err)
 	}
-	got, s1, err := tb.QueryEqual(0, iv(80))
+	got, s1, err := tb.QueryRangeCtx(context.Background(), 0, iv(80), iv(80))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 5 {
 		t.Errorf("matches = %d, want 5", len(got))
 	}
-	_, s2, err := tb.QueryEqual(0, iv(81))
+	_, s2, err := tb.QueryRangeCtx(context.Background(), 0, iv(81), iv(81))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,12 +541,12 @@ func TestEngineConcurrentUse(t *testing.T) {
 						iv(1+rng.Int63n(50)), iv(1+rng.Int63n(50)), iv(1+rng.Int63n(50)),
 						storage.StringValue(strings.Repeat("c", 1+rng.Intn(100))),
 					)
-					if _, err := tb.Insert(tu); err != nil {
+					if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 						errs <- err
 						return
 					}
 				default:
-					if _, _, err := tb.QueryEqual(0, iv(1+rng.Int63n(50))); err != nil {
+					if _, _, err := tb.QueryEqualCtx(context.Background(), 0, iv(1+rng.Int63n(50))); err != nil {
 						errs <- err
 						return
 					}
@@ -560,7 +561,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 	}
 	// Final consistency: ground truth still matches.
 	want := queryGroundTruth(t, tb, 0, iv(30))
-	got, _, err := tb.QueryEqual(0, iv(30))
+	got, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(30), iv(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +587,7 @@ func TestSaveAndLoadRoundTrip(t *testing.T) {
 	pad := strings.Repeat("n", 300)
 	for i := 0; i < 700; i++ {
 		tu := storage.NewTuple(iv(int64(i%100)), storage.StringValue(pad))
-		if _, err := tb.Insert(tu); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -594,7 +595,7 @@ func TestSaveAndLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build up some buffer state that must NOT survive the restart.
-	if _, _, err := tb.QueryEqual(0, iv(90)); err != nil {
+	if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(90), iv(90)); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Buffer(0).EntryCount() == 0 {
@@ -630,7 +631,7 @@ func TestSaveAndLoadRoundTrip(t *testing.T) {
 		t.Errorf("rows = %d, want 700", n)
 	}
 	// Index definition and contents restored.
-	got, stats, err := tb2.QueryEqual(0, iv(25))
+	got, stats, err := tb2.QueryRangeCtx(context.Background(), 0, iv(25), iv(25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +645,7 @@ func TestSaveAndLoadRoundTrip(t *testing.T) {
 	}
 	// Keys are i%100, so physically clustered: pages whose tuples are all
 	// covered skip naturally (the Fig. 3 effect); the rest are read.
-	_, s1, err := tb2.QueryEqual(0, iv(90))
+	_, s1, err := tb2.QueryRangeCtx(context.Background(), 0, iv(90), iv(90))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +655,7 @@ func TestSaveAndLoadRoundTrip(t *testing.T) {
 	if s1.PagesRead < wantPages/2 {
 		t.Errorf("first miss after load read only %d of %d pages", s1.PagesRead, wantPages)
 	}
-	_, s2, err := tb2.QueryEqual(0, iv(91))
+	_, s2, err := tb2.QueryRangeCtx(context.Background(), 0, iv(91), iv(91))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,14 +663,14 @@ func TestSaveAndLoadRoundTrip(t *testing.T) {
 		t.Errorf("second miss skipped %d of %d", s2.PagesSkipped, wantPages)
 	}
 	// DML still works after reload (free hints rebuilt).
-	rid, err := tb2.Insert(storage.NewTuple(iv(25), storage.StringValue("tail")))
+	rid, err := tb2.InsertCtx(context.Background(), storage.NewTuple(iv(25), storage.StringValue("tail")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tb2.Get(rid); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = tb2.QueryEqual(0, iv(25))
+	got, _, err = tb2.QueryRangeCtx(context.Background(), 0, iv(25), iv(25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -702,21 +703,21 @@ func TestEngineExplainAndIntrospection(t *testing.T) {
 	if e.Space() == nil {
 		t.Error("Space accessor nil")
 	}
-	plan, err := tb.ExplainEqual(0, iv(25))
+	plan, err := tb.ExplainRange(0, iv(25), iv(25))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !plan.PartialHit {
 		t.Errorf("plan = %+v", plan)
 	}
-	plan, err = tb.ExplainEqual(0, iv(90))
+	plan, err = tb.ExplainRange(0, iv(90), iv(90))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Mechanism != "indexing scan" {
 		t.Errorf("plan = %+v", plan)
 	}
-	if _, err := tb.ExplainEqual(99, iv(1)); err == nil {
+	if _, err := tb.ExplainRange(99, iv(1), iv(1)); err == nil {
 		t.Error("bad column should fail")
 	}
 	rp, err := tb.ExplainRange(0, iv(10), iv(20))
@@ -756,7 +757,7 @@ func TestCrossTableBufferSpace(t *testing.T) {
 		pad := strings.Repeat("q", 300)
 		for i := 0; i < 2000; i++ {
 			tu := storage.NewTuple(iv(1+rng.Int63n(100)), storage.StringValue(pad))
-			if _, err := tb.Insert(tu); err != nil {
+			if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -773,7 +774,7 @@ func TestCrossTableBufferSpace(t *testing.T) {
 	// Hammer table one until its buffer saturates the shared space.
 	rng := rand.New(rand.NewSource(9))
 	for q := 0; q < 25; q++ {
-		if _, _, err := t1.QueryEqual(0, iv(11+rng.Int63n(89))); err != nil {
+		if _, _, err := t1.QueryEqualCtx(context.Background(), 0, iv(11+rng.Int63n(89))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -786,7 +787,7 @@ func TestCrossTableBufferSpace(t *testing.T) {
 	}
 	// Shift entirely to table two: it must claw space away from one.
 	for q := 0; q < 60; q++ {
-		if _, _, err := t2.QueryEqual(0, iv(11+rng.Int63n(89))); err != nil {
+		if _, _, err := t2.QueryEqualCtx(context.Background(), 0, iv(11+rng.Int63n(89))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -810,7 +811,7 @@ func TestDropIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build the buffer.
-	if _, _, err := tb.QueryEqual(0, iv(90)); err != nil {
+	if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(90), iv(90)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Space().Used() == 0 {
@@ -826,7 +827,7 @@ func TestDropIndex(t *testing.T) {
 		t.Errorf("space not released: %d", e.Space().Used())
 	}
 	// Queries fall back to full scans.
-	_, stats, err := tb.QueryEqual(0, iv(25))
+	_, stats, err := tb.QueryRangeCtx(context.Background(), 0, iv(25), iv(25))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -131,7 +132,7 @@ func TestTornPublicationFaultSweep(t *testing.T) {
 				// landing lock-free.
 				before := rig.eng.EpochStats()
 				for i := 0; i < 60; i++ {
-					if _, _, err := rig.tables[0].QueryEqual(0, storage.Int64Value(5)); err != nil {
+					if _, _, err := rig.tables[0].QueryRangeCtx(context.Background(), 0, storage.Int64Value(5), storage.Int64Value(5)); err != nil {
 						t.Fatalf("live query after mid-op fault: %v", err)
 					}
 					if rig.eng.EpochStats().FastHits > before.FastHits {
@@ -188,11 +189,11 @@ func TestTornPublicationRecoveryAfterFailedRelocation(t *testing.T) {
 	// inside a relocation deterministically.
 	for _, pad := range []int{5500, 5500} {
 		tu := storage.NewTuple(storage.Int64Value(3), storage.Int64Value(int64(pad)), storage.StringValue(strings.Repeat("h", pad)))
-		rid, err := rig.tables[0].Insert(tu)
+		rid, err := rig.tables[0].InsertCtx(context.Background(), tu)
 		if err != nil {
 			t.Fatal(err)
 		}
-		orid, err := oracle.tables[0].Insert(tu)
+		orid, err := oracle.tables[0].InsertCtx(context.Background(), tu)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,13 +235,13 @@ func TestTornPublicationRecoveryAfterFailedRelocation(t *testing.T) {
 		}
 		tu := storage.NewTuple(storage.Int64Value(7), storage.Int64Value(int64(i)), storage.StringValue(big))
 		faults[0].SetReadsLeft(0)
-		newRID, err := rig.tables[0].Update(target, tu)
+		newRID, err := rig.tables[0].UpdateCtx(context.Background(), target, tu)
 		faults[0].SetReadsLeft(-1)
 		if err == nil {
 			if newRID.Page != target.Page {
 				t.Fatalf("update %d relocated (%v -> %v) without reading the cold last page", i, target, newRID)
 			}
-			if _, oerr := oracle.tables[0].Update(oracle.rids[0][i], tu); oerr != nil {
+			if _, oerr := oracle.tables[0].UpdateCtx(context.Background(), oracle.rids[0][i], tu); oerr != nil {
 				t.Fatalf("oracle update diverged: %v", oerr)
 			}
 			rig.rids[0][i] = newRID

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -14,12 +15,12 @@ import (
 func runMixedQueries(t *testing.T, tb *Table) {
 	t.Helper()
 	for k := int64(1); k <= 10; k++ {
-		if _, _, err := tb.QueryEqual(0, iv(k)); err != nil { // covered: hit
+		if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(k), iv(k)); err != nil { // covered: hit
 			t.Fatal(err)
 		}
 	}
 	for k := int64(60); k <= 70; k++ {
-		if _, _, err := tb.QueryEqual(0, iv(k)); err != nil { // miss: indexing scan
+		if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(k), iv(k)); err != nil { // miss: indexing scan
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +118,7 @@ func TestSharedScanRecordsFollowers(t *testing.T) {
 		wg.Add(1)
 		go func(k int64) {
 			defer wg.Done()
-			if _, _, err := tb.QueryEqual(0, iv(50+k)); err != nil {
+			if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(50+k), iv(50+k)); err != nil {
 				t.Error(err)
 			}
 		}(int64(i))
@@ -157,7 +158,7 @@ func TestTracerStressWithQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				k := int64(1 + (g*31+i*7)%200)
-				if _, _, err := tb.QueryEqual(0, iv(k)); err != nil {
+				if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(k), iv(k)); err != nil {
 					t.Error(err)
 				}
 			}

@@ -131,7 +131,10 @@ func Load(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(cfg)
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
 	e.recovery.CheckpointLSN = cat.CheckpointLSN
 
 	// Phase 1: reattach and repair page files. Track every opened store
@@ -207,7 +210,7 @@ func Load(cfg Config) (*Engine, error) {
 					return nil // tail for a table/column dropped since logging
 				}
 				e.rewarm = append(e.rewarm, rewarmQuery{
-					table: rec.Table, column: rec.Column, equal: rec.Equal, lo: rec.Lo, hi: rec.Hi,
+					table: rec.Table, column: rec.Column, lo: rec.Lo, hi: rec.Hi,
 				})
 				return nil
 			}
@@ -279,9 +282,16 @@ func Load(cfg Config) (*Engine, error) {
 		if err != nil {
 			return fail(fmt.Errorf("engine: reopening heap %s: %w", lt.tm.Name, err))
 		}
+		// Bind the owner before the indexes below create their buffers,
+		// which charge the owner's quota.
+		tn, err := e.tableTenant(lt.tm.Name)
+		if err != nil {
+			return fail(err)
+		}
 		t := &Table{
 			engine:  e,
 			name:    lt.tm.Name,
+			tenant:  tn,
 			schema:  lt.schema,
 			store:   store,
 			pool:    pool,

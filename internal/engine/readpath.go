@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"time"
 
@@ -176,14 +177,25 @@ func (e *Engine) EpochStats() EpochStats {
 // assert reclamation).
 func (e *Engine) EpochDomain() *epoch.Domain { return e.epochs }
 
-// fastEqual attempts column = key on the lock-free read path. ok
-// reports success; on false the caller runs the locked path, which
-// also owns all error reporting (the fast path never surfaces errors —
-// a validated heap fault falls back so the locked path reproduces it
+// fastQuery attempts lo <= column <= hi on the lock-free read path. ok
+// reports success; on false the caller runs the locked path, which also
+// owns all error reporting (the fast path never surfaces errors — a
+// validated heap fault falls back so the locked path reproduces it
 // under the lock).
-func (t *Table) fastEqual(column int, key storage.Value) (m []exec.Match, stats exec.QueryStats, ok bool) {
+func (t *Table) fastQuery(ctx context.Context, column int, lo, hi storage.Value) (m []exec.Match, stats exec.QueryStats, ok bool) {
 	e := t.engine
+	if t.checkColumn(column) != nil {
+		return nil, exec.QueryStats{}, false // locked path owns the error
+	}
 	start := time.Now()
+	if hi.Compare(lo) < 0 {
+		// An empty range reads no table state; ExecuteShared answers it the
+		// same way: stats carry only the key, no probe, no history advance.
+		stats := exec.QueryStats{Key: lo, Duration: time.Since(start)}
+		t.observe(ctx, column, stats, false)
+		e.fastHits.Add(1)
+		return nil, stats, true
+	}
 	unpin := e.space.PinEpoch()
 	defer unpin()
 	for attempt, spins := 0, 0; attempt < fastAttempts; {
@@ -200,13 +212,13 @@ func (t *Table) fastEqual(column int, key storage.Value) (m []exec.Match, stats 
 		}
 		ix := rs.indexes[column]
 		if ix == nil {
-			return nil, exec.QueryStats{}, false // no index (or bad column): locked path decides
+			return nil, exec.QueryStats{}, false // no index: the locked path decides
 		}
 		snap := ix.Snapshot()
-		if !snap.Covers(key) {
+		if !snap.CoversRange(lo, hi) {
 			return nil, exec.QueryStats{}, false // miss: needs the indexing-scan machinery
 		}
-		matches, stats, err := exec.FetchHit(exec.Access{Table: rs.heap, Column: column}, key, snap.Lookup(key))
+		matches, stats, err := exec.FetchHit(exec.Access{Table: rs.heap, Column: column}, lo, snap.LookupRange(lo, hi))
 		if t.seq.Load() != s1 {
 			attempt++
 			continue // a mutator overlapped the probe; everything read is suspect
@@ -218,81 +230,16 @@ func (t *Table) fastEqual(column int, key storage.Value) (m []exec.Match, stats 
 			e.fastFallbacks.Add(1)
 			return nil, exec.QueryStats{}, false
 		}
-		t.commitFastHit(column, &stats, snap, rs, start)
+		// Apply the validated hit's side effects — exactly the ones the
+		// locked hit path performs, through the same internally
+		// synchronized structures, exactly once.
+		snap.NoteProbe()
+		e.space.OnQuery(rs.buffers[column], true) // Table II: a hit only advances the query clock
+		stats.Duration = time.Since(start)
+		t.observe(ctx, column, stats, false)
+		e.fastHits.Add(1)
 		return matches, stats, true
 	}
 	e.fastFallbacks.Add(1)
 	return nil, exec.QueryStats{}, false
-}
-
-// fastRange is fastEqual for lo <= column <= hi, including the empty
-// range answered for free (mirroring ExecuteShared's early continue:
-// stats carry only the key, no history advance, no probe).
-func (t *Table) fastRange(column int, lo, hi storage.Value) (m []exec.Match, stats exec.QueryStats, ok bool) {
-	e := t.engine
-	if t.checkColumn(column) != nil {
-		return nil, exec.QueryStats{}, false // locked path owns the error
-	}
-	start := time.Now()
-	unpin := e.space.PinEpoch()
-	defer unpin()
-	for attempt, spins := 0, 0; attempt < fastAttempts; {
-		s1 := t.seq.Load()
-		if s1&1 != 0 {
-			if !t.awaitEven(&spins) {
-				break
-			}
-			continue
-		}
-		rs := t.read.Load()
-		if rs == nil {
-			return nil, exec.QueryStats{}, false
-		}
-		if hi.Compare(lo) < 0 {
-			if t.seq.Load() != s1 {
-				attempt++
-				continue
-			}
-			stats := exec.QueryStats{Key: lo, Duration: time.Since(start)}
-			e.tracer.Record(t.name, t.schema.Column(column).Name, stats)
-			t.sampleTimeline(column, stats, false, rs.buffers[column])
-			e.fastHits.Add(1)
-			return nil, stats, true
-		}
-		ix := rs.indexes[column]
-		if ix == nil {
-			return nil, exec.QueryStats{}, false
-		}
-		snap := ix.Snapshot()
-		if !snap.CoversRange(lo, hi) {
-			return nil, exec.QueryStats{}, false
-		}
-		matches, stats, err := exec.FetchHit(exec.Access{Table: rs.heap, Column: column}, lo, snap.LookupRange(lo, hi))
-		if t.seq.Load() != s1 {
-			attempt++
-			continue
-		}
-		if err != nil {
-			e.fastFallbacks.Add(1)
-			return nil, exec.QueryStats{}, false
-		}
-		t.commitFastHit(column, &stats, snap, rs, start)
-		return matches, stats, true
-	}
-	e.fastFallbacks.Add(1)
-	return nil, exec.QueryStats{}, false
-}
-
-// commitFastHit applies a validated hit's side effects — exactly the
-// ones the locked hit path performs, through the same internally
-// synchronized structures, exactly once.
-func (t *Table) commitFastHit(column int, stats *exec.QueryStats, snap index.Snapshot, rs *readState, start time.Time) {
-	e := t.engine
-	snap.NoteProbe()
-	buf := rs.buffers[column]
-	e.space.OnQuery(buf, true) // Table II: a hit only advances the query clock
-	stats.Duration = time.Since(start)
-	e.tracer.Record(t.name, t.schema.Column(column).Name, *stats)
-	t.sampleTimeline(column, *stats, false, buf)
-	e.fastHits.Add(1)
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/exec"
 	"repro/internal/storage"
@@ -42,14 +41,8 @@ type scanBatch struct {
 // written by the leader before it closes done and read by the owning
 // goroutine after <-done; the channel close orders the two.
 type attachedQuery struct {
-	ctx      context.Context
-	lo, hi   storage.Value
-	equality bool
-
-	// canceled is set by a follower that gave up on ctx cancellation; the
-	// leader then skips tracing the query's outcome (its caller already
-	// returned an error and never saw the result).
-	canceled atomic.Bool
+	ctx    context.Context
+	lo, hi storage.Value
 
 	out   []exec.Match
 	stats exec.QueryStats
@@ -97,27 +90,26 @@ func (s *scanAdmission) seal(column int, b *scanBatch) []*attachedQuery {
 // abandon the wait for the write lock, but its own predicate is dropped
 // the same way once the scan starts, and the scan aborts early only if
 // every attached query is canceled.
-func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Value, equality bool) ([]exec.Match, exec.QueryStats, error) {
+func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
 	counters := &t.engine.sharedScans
 	counters.Misses.Add(1)
 	fa := t.engine.flightActive(ctx)
 	t.noteSpan(fa, trace.SpanMissAdmit, column, -1, 0)
 
-	q := &attachedQuery{ctx: ctx, lo: lo, hi: hi, equality: equality}
+	q := &attachedQuery{ctx: ctx, lo: lo, hi: hi}
 	batch, leader := t.scans.attach(column, q)
 	if !leader {
 		counters.Attached.Add(1)
 		t.noteSpan(fa, trace.SpanScanAttach, column, -1, 0)
 		select {
 		case <-batch.done:
-			if q.err == nil && !q.canceled.Load() {
-				// The follower's own flight record: its stats, its wait-
-				// dominated wall time, attributed on its own goroutine.
-				t.noteFlight(ctx, column, q.stats, true)
+			if q.err == nil {
+				t.observe(ctx, column, q.stats, true)
 			}
 			return q.out, q.stats, q.err
 		case <-ctx.Done():
-			q.canceled.Store(true)
+			// The scan drops the query at its next page boundary; the
+			// outcome it still writes is never read.
 			return nil, exec.QueryStats{}, ctx.Err()
 		}
 	}
@@ -138,46 +130,25 @@ func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Valu
 	} else {
 		counters.Scans.Add(1)
 		t.noteSpan(fa, trace.SpanScanLead, column, -1, len(attached))
-		t.runShared(a, column, attached)
+		t.runShared(a, attached)
 	}
 	t.mu.Unlock()
 	close(batch.done)
 	if q.err == nil {
-		t.noteFlight(ctx, column, q.stats, false)
+		t.observe(ctx, column, q.stats, false)
 	}
 	return q.out, q.stats, q.err
 }
 
 // runShared executes one shared pass for the sealed batch and publishes
-// each query's outcome. Runs with the table's write lock held.
-func (t *Table) runShared(a exec.Access, column int, attached []*attachedQuery) {
+// each query's outcome; every query observes its own outcome once it
+// wakes. Runs with the table's write lock held.
+func (t *Table) runShared(a exec.Access, attached []*attachedQuery) {
 	qs := make([]exec.SharedQuery, len(attached))
 	for i, aq := range attached {
-		qs[i] = exec.SharedQuery{Lo: aq.lo, Hi: aq.hi, Equality: aq.equality, Ctx: aq.ctx}
+		qs[i] = exec.SharedQuery{Lo: aq.lo, Hi: aq.hi, Ctx: aq.ctx}
 	}
-	outs := exec.ExecuteShared(a, qs)
-	// The batch's first scanning query carries the scan-stage fan-out.
-	for _, o := range outs {
-		if o.Stats.ScanWorkers > 0 {
-			t.engine.noteScanWorkers(o.Stats)
-			break
-		}
-	}
-	col := t.schema.Column(column).Name
-	for i, aq := range attached {
-		o := outs[i]
-		aq.out, aq.stats, aq.err = o.Matches, o.Stats, o.Err
-		if o.Err == nil && !aq.canceled.Load() {
-			// attached[0] is the query that created the batch — the leader
-			// whose wall time is the scan itself. Followers spent their time
-			// waiting on the leader, so their latency is tracked under a
-			// separate mechanism to keep the scan histograms honest.
-			if i == 0 {
-				t.engine.tracer.Record(t.name, col, o.Stats)
-			} else {
-				t.engine.tracer.RecordFollower(t.name, col, o.Stats)
-			}
-			t.sampleTimeline(column, o.Stats, i != 0, a.Buffer)
-		}
+	for i, o := range exec.ExecuteShared(a, qs) {
+		attached[i].out, attached[i].stats, attached[i].err = o.Matches, o.Stats, o.Err
 	}
 }

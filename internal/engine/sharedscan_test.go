@@ -30,7 +30,7 @@ func newKeyed(t *testing.T, rows, domain int, cover int64) (*Engine, *Table) {
 	pad := strings.Repeat("p", 700)
 	for i := 0; i < rows; i++ {
 		tu := storage.NewTuple(iv(int64(i%domain)), storage.StringValue(pad))
-		if _, err := tb.Insert(tu); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func newKeyed(t *testing.T, rows, domain int, cover int64) (*Engine, *Table) {
 func TestSharedScanCoalescesConcurrentMisses(t *testing.T) {
 	e, tb := newKeyed(t, 300, 50, 9)
 
-	blocker := &attachedQuery{ctx: context.Background(), lo: iv(10), hi: iv(10), equality: true}
+	blocker := &attachedQuery{ctx: context.Background(), lo: iv(10), hi: iv(10)}
 	batch, leader := tb.scans.attach(0, blocker)
 	if !leader {
 		t.Fatal("fresh table already has a pending batch")
@@ -61,7 +61,7 @@ func TestSharedScanCoalescesConcurrentMisses(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], _, errs[g] = tb.QueryEqual(0, iv(int64(10+g))) // uncovered keys 10..17
+			results[g], _, errs[g] = tb.QueryRangeCtx(context.Background(), 0, iv(int64(10+g)), iv(int64(10+g))) // uncovered keys 10..17
 		}(g)
 	}
 
@@ -84,7 +84,7 @@ func TestSharedScanCoalescesConcurrentMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.sharedScans.Scans.Add(1)
-	tb.runShared(a, 0, attached)
+	tb.runShared(a, attached)
 	tb.mu.Unlock()
 	close(batch.done)
 	wg.Wait()
@@ -112,7 +112,7 @@ func TestSharedScanCoalescesConcurrentMisses(t *testing.T) {
 	}
 	// The shared pass built the buffer: a later miss skips every page and
 	// only fetches the pages holding its buffered matches.
-	_, stats, err := tb.QueryEqual(0, iv(30))
+	_, stats, err := tb.QueryRangeCtx(context.Background(), 0, iv(30), iv(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSharedScanCoalescesConcurrentMisses(t *testing.T) {
 func TestSharedScanFollowerCancellation(t *testing.T) {
 	e, tb := newKeyed(t, 300, 50, 9)
 
-	blocker := &attachedQuery{ctx: context.Background(), lo: iv(10), hi: iv(10), equality: true}
+	blocker := &attachedQuery{ctx: context.Background(), lo: iv(10), hi: iv(10)}
 	batch, leader := tb.scans.attach(0, blocker)
 	if !leader {
 		t.Fatal("fresh table already has a pending batch")
@@ -166,7 +166,7 @@ func TestSharedScanFollowerCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.sharedScans.Scans.Add(1)
-	tb.runShared(a, 0, attached)
+	tb.runShared(a, attached)
 	tb.mu.Unlock()
 	close(batch.done)
 

@@ -17,7 +17,7 @@ import (
 // families distinguish tenants for free; buffers created for a tenant's
 // indexes are charged against the tenant's entry quota (see
 // core.Space.SelectPagesForBuffer for the two-level displacement
-// competition, and QueryEqualCtx for over-quota admission).
+// competition, and admitMiss for over-quota admission).
 
 // CreateTenant registers a budget domain carved from the Index Buffer
 // Space. quota is the tenant's entry budget (<= 0 = unlimited); strict
@@ -26,6 +26,22 @@ import (
 func (e *Engine) CreateTenant(name string, quota int, strict bool) (*core.Tenant, error) {
 	if err := e.checkOpen(); err != nil {
 		return nil, err
+	}
+	return e.createTenant(name, quota, strict)
+}
+
+// TenantSpec declares one tenant for Config.Tenants; see CreateTenant.
+type TenantSpec struct {
+	Name   string
+	Quota  int
+	Strict bool
+}
+
+// createTenant registers a tenant. The name may not contain ':', which
+// separates tenant from table in qualified catalog names.
+func (e *Engine) createTenant(name string, quota int, strict bool) (*core.Tenant, error) {
+	if strings.Contains(name, ":") {
+		return nil, fmt.Errorf("engine: tenant name %q must not contain ':'", name)
 	}
 	return e.space.CreateTenant(name, quota, strict)
 }
@@ -55,6 +71,20 @@ func qualifiedName(tn *core.Tenant, name string) string {
 		return name
 	}
 	return tn.Name() + ":" + name
+}
+
+// tableTenant resolves the owner of a cataloged table from its
+// qualified name: a bare name belongs to the default tenant (nil), and
+// "<tenant>:<table>" to a tenant that must be registered.
+func (e *Engine) tableTenant(name string) (*core.Tenant, error) {
+	tenant, _, qualified := strings.Cut(name, ":")
+	if !qualified {
+		return nil, nil
+	}
+	if tn := e.space.Tenant(tenant); tn != nil {
+		return tn, nil
+	}
+	return nil, fmt.Errorf("engine: table %q: tenant %q: %w", name, tenant, ErrTenantUnknown)
 }
 
 // CreateTableFor registers a new empty table owned by tn (nil = the

@@ -28,7 +28,7 @@ func newTenantTable(t *testing.T, e *Engine, tn *core.Tenant, rows, domain, cove
 	pad := strings.Repeat("x", 200)
 	for i := 0; i < rows; i++ {
 		tu := storage.NewTuple(iv(int64(i%domain)+1), storage.StringValue(pad))
-		if _, err := tb.Insert(tu); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}

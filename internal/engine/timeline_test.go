@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"regexp"
@@ -76,7 +77,7 @@ func TestTimelineDisabledByDefaultInEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := int64(1); k <= 30; k++ {
-		if _, _, err := tb.QueryEqual(0, iv(k)); err != nil {
+		if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(k), iv(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +111,7 @@ func TestTimelineDisplacementResample(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 120; i++ {
 		col := i % 2
-		if _, _, err := tb.QueryEqual(col, iv(35+rng.Int63n(25))); err != nil {
+		if _, _, err := tb.QueryEqualCtx(context.Background(), col, iv(35+rng.Int63n(25))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +155,7 @@ func TestTimelineShiftingWorkloadReset(t *testing.T) {
 	// Phase 1: misses in [31, 60]; the default I^MAX covers the whole
 	// table, so the first indexing scan converges the buffer.
 	for k := int64(31); k <= 40; k++ {
-		if _, _, err := tb.QueryEqual(0, iv(k)); err != nil {
+		if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(k), iv(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,7 +181,7 @@ func TestTimelineShiftingWorkloadReset(t *testing.T) {
 	// Phase 2: misses in [91, 120] re-converge the fresh buffer; the
 	// new crossing ordinal must postdate the first episode's.
 	for k := int64(91); k <= 100; k++ {
-		if _, _, err := tb.QueryEqual(0, iv(k)); err != nil {
+		if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(k), iv(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -365,7 +366,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 	e.Tracer().EnableSpans(true)
 	e.Timeline().Enable(true)
 	runMixedQueries(t, tb)
-	if _, _, err := nasty.QueryEqual(1, iv(5)); err != nil {
+	if _, _, err := nasty.QueryRangeCtx(context.Background(), 1, iv(5), iv(5)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -451,7 +452,7 @@ func TestMetricsWALFamiliesLint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 64; i++ {
-		if _, err := tb.Insert(storage.NewTuple(storage.Int64Value(i % 10))); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), storage.NewTuple(storage.Int64Value(i%10))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func churn(t *testing.T, tb *Table) []storage.RID {
 	for i, rid := range rids {
 		switch {
 		case i%2 == 0:
-			if err := tb.Delete(rid); err != nil {
+			if err := tb.DeleteCtx(context.Background(), rid); err != nil {
 				t.Fatal(err)
 			}
 		case i%4 == 1:
@@ -32,7 +33,7 @@ func churn(t *testing.T, tb *Table) []storage.RID {
 				iv(1+rng.Int63n(100)), iv(1+rng.Int63n(100)), iv(1+rng.Int63n(100)),
 				storage.StringValue(strings.Repeat("u", 1+rng.Intn(500))),
 			)
-			nr, err := tb.Update(rid, tu)
+			nr, err := tb.UpdateCtx(context.Background(), rid, tu)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +51,7 @@ func TestVacuumCompactsAndStaysCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm the buffer, then fragment the heap.
-	if _, _, err := tb.QueryEqual(0, iv(90)); err != nil {
+	if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(90), iv(90)); err != nil {
 		t.Fatal(err)
 	}
 	churn(t, tb)
@@ -84,7 +85,7 @@ func TestVacuumCompactsAndStaysCorrect(t *testing.T) {
 		t.Error("buffer survived vacuum")
 	}
 	for _, key := range []int64{10, 25, 90, 99} {
-		got, stats, err := tb.QueryEqual(0, iv(key))
+		got, stats, err := tb.QueryRangeCtx(context.Background(), 0, iv(key), iv(key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,10 +97,10 @@ func TestVacuumCompactsAndStaysCorrect(t *testing.T) {
 		}
 	}
 	// The buffer rebuilds via misses as usual.
-	if _, _, err := tb.QueryEqual(0, iv(80)); err != nil {
+	if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(80), iv(80)); err != nil {
 		t.Fatal(err)
 	}
-	_, s2, err := tb.QueryEqual(0, iv(81))
+	_, s2, err := tb.QueryRangeCtx(context.Background(), 0, iv(81), iv(81))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestVacuumFileBackedPersists(t *testing.T) {
 	pad := strings.Repeat("f", 350)
 	var rids []storage.RID
 	for i := 0; i < 600; i++ {
-		rid, err := tb.Insert(storage.NewTuple(iv(int64(i%50)), storage.StringValue(pad)))
+		rid, err := tb.InsertCtx(context.Background(), storage.NewTuple(iv(int64(i%50)), storage.StringValue(pad)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestVacuumFileBackedPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(rids); i += 2 {
-		if err := tb.Delete(rids[i]); err != nil {
+		if err := tb.DeleteCtx(context.Background(), rids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +165,7 @@ func TestVacuumFileBackedPersists(t *testing.T) {
 	if n != 300 {
 		t.Errorf("rows after reload = %d, want 300", n)
 	}
-	got, stats, err := tb2.QueryEqual(0, iv(1)) // odd keys survive
+	got, stats, err := tb2.QueryRangeCtx(context.Background(), 0, iv(1), iv(1)) // odd keys survive
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -297,7 +297,7 @@ func (t *Table) logDML(fa *flight.Active, kind wal.Kind, rid, oldRID storage.RID
 // Best-effort and async: the record rides the next fsync (a lost query
 // record costs a little restart warmth, never correctness), and errors
 // are swallowed for the same reason.
-func (t *Table) logQuery(column int, equal bool, lo, hi storage.Value) {
+func (t *Table) logQuery(column int, lo, hi storage.Value) {
 	w := t.engine.wal
 	if w == nil || t.engine.cfg.WAL.DisableQueryLog {
 		return
@@ -306,7 +306,6 @@ func (t *Table) logQuery(column int, equal bool, lo, hi storage.Value) {
 		Kind:   wal.KindQuery,
 		Table:  t.name,
 		Column: column,
-		Equal:  equal,
 		Lo:     lo,
 		Hi:     hi,
 	})
@@ -427,7 +426,6 @@ func (e *Engine) stopCheckpointer() {
 type rewarmQuery struct {
 	table  string
 	column int
-	equal  bool
 	lo, hi storage.Value
 }
 
@@ -469,13 +467,7 @@ func (e *Engine) Rewarm(ctx context.Context) (int, error) {
 			reset[name] = true
 			obs.SpaceEvent("buffer-reset", name, -1, 0)
 		}
-		var err error
-		if q.equal {
-			_, _, err = t.QueryEqualCtx(ctx, q.column, q.lo)
-		} else {
-			_, _, err = t.QueryRangeCtx(ctx, q.column, q.lo, q.hi)
-		}
-		if err != nil {
+		if _, _, err := t.QueryRangeCtx(ctx, q.column, q.lo, q.hi); err != nil {
 			return n, fmt.Errorf("engine: rewarm replay on %s: %w", q.table, err)
 		}
 		n++

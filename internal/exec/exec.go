@@ -4,8 +4,9 @@
 // consults the Index Buffer, skips fully indexed pages (counter C[p] ==
 // 0), and opportunistically indexes the pages selected by Algorithm 2.
 //
-// Every query runs through ExecuteShared, which executes Algorithm 1
-// once for a whole batch of predicates: Equal and Range are batches of
+// Every query is a range lo <= column <= hi — a point query is the
+// range [key, key] — and runs through ExecuteShared, which executes
+// Algorithm 1 once for a whole batch of predicates: Range is a batch of
 // size one, and the engine's admission layer coalesces concurrent
 // buffer misses on the same table/column into larger batches.
 //
@@ -17,7 +18,6 @@
 package exec
 
 import (
-	"context"
 	"runtime"
 	"sort"
 	"time"
@@ -84,7 +84,7 @@ type Heap interface {
 
 var _ Heap = (*heap.Table)(nil)
 
-// Access bundles the storage objects a point query needs. Index and
+// Access bundles the storage objects a query needs. Index and
 // Buffer may be nil (no partial index / no Index Buffer on the column);
 // Space must be non-nil whenever Buffer is.
 type Access struct {
@@ -145,29 +145,15 @@ func (a Access) scanWorkers(numPages int) int {
 	return w
 }
 
-// NeedsIndexingScan reports whether the equality query column = key would
-// run an indexing scan — the only execution path that mutates the Index
-// Buffer and therefore needs exclusive access to the table.
-func (a Access) NeedsIndexingScan(key storage.Value) bool {
-	return a.Buffer != nil && !(a.Index != nil && a.Index.Covers(key))
-}
-
-// NeedsIndexingScanRange is NeedsIndexingScan for lo <= column <= hi.
+// NeedsIndexingScanRange reports whether the query lo <= column <= hi
+// would run an indexing scan — the only execution path that mutates the
+// Index Buffer and therefore needs exclusive access to the table. A
+// point query is the range [key, key].
 func (a Access) NeedsIndexingScanRange(lo, hi storage.Value) bool {
 	if hi.Compare(lo) < 0 {
 		return false
 	}
 	return a.Buffer != nil && !(a.Index != nil && a.Index.CoversRange(lo, hi))
-}
-
-// Equal answers the equality query column = key, maintaining the Index
-// Buffer along the way: partial-index hit → index scan; miss with a
-// buffer → Algorithm 1; miss without → full scan. It is a shared scan
-// with a single attached query; ctx is honored between page reads of the
-// scanning paths.
-func Equal(ctx context.Context, a Access, key storage.Value) ([]Match, QueryStats, error) {
-	o := ExecuteShared(a, []SharedQuery{{Lo: key, Hi: key, Equality: true, Ctx: ctx}})[0]
-	return o.Matches, o.Stats, o.Err
 }
 
 // FetchHit materializes a partial-index hit from its posting list,

@@ -47,7 +47,7 @@ func buildTableOn(t *testing.T, rows, poolPages int) (*heap.Table, *buffer.SimDi
 
 func TestEqualNoIndexNoBuffer(t *testing.T) {
 	tb := buildTable(t, 200)
-	got, stats, err := Equal(context.Background(), Access{Table: tb, Column: 0}, iv(3))
+	got, stats, err := Range(context.Background(), Access{Table: tb, Column: 0}, iv(3), iv(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestEqualIndexOnlyNoBuffer(t *testing.T) {
 	a := Access{Table: tb, Column: 0, Index: ix}
 
 	// Covered key: index scan fetches only match pages.
-	got, stats, err := Equal(context.Background(), a, iv(2))
+	got, stats, err := Range(context.Background(), a, iv(2), iv(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestEqualIndexOnlyNoBuffer(t *testing.T) {
 	}
 
 	// Uncovered key: full scan.
-	_, stats, err = Equal(context.Background(), a, iv(7))
+	_, stats, err = Range(context.Background(), a, iv(7), iv(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +143,14 @@ func TestIndexingScanSecondQuerySkips(t *testing.T) {
 	}
 	a := Access{Table: tb, Column: 0, Index: ix, Buffer: buf, Space: space}
 
-	_, s1, err := Equal(context.Background(), a, iv(8))
+	_, s1, err := Range(context.Background(), a, iv(8), iv(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1.PagesSelected != tb.NumPages() || s1.EntriesAdded == 0 {
 		t.Errorf("first scan: selected=%d entries=%d", s1.PagesSelected, s1.EntriesAdded)
 	}
-	got, s2, err := Equal(context.Background(), a, iv(9))
+	got, s2, err := Range(context.Background(), a, iv(9), iv(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestExplainEqual(t *testing.T) {
 	a := Access{Table: tb, Column: 0, Index: ix, Buffer: buf, Space: space}
 
 	// Covered key: hit plan, no mutation.
-	plan := ExplainEqual(a, iv(2))
+	plan := ExplainRange(a, iv(2), iv(2))
 	if !plan.PartialHit || plan.Mechanism != "partial index hit" {
 		t.Errorf("plan = %+v", plan)
 	}
@@ -196,7 +196,7 @@ func TestExplainEqual(t *testing.T) {
 	}
 
 	// Uncovered, empty buffer: indexing scan of every page.
-	plan = ExplainEqual(a, iv(8))
+	plan = ExplainRange(a, iv(8), iv(8))
 	if plan.Mechanism != "indexing scan" || plan.EstimatedPagesRead != tb.NumPages() {
 		t.Errorf("plan = %+v", plan)
 	}
@@ -205,15 +205,15 @@ func TestExplainEqual(t *testing.T) {
 	}
 
 	// After a real query, the plan predicts skips.
-	if _, _, err := Equal(context.Background(), a, iv(8)); err != nil {
+	if _, _, err := Range(context.Background(), a, iv(8), iv(8)); err != nil {
 		t.Fatal(err)
 	}
-	plan = ExplainEqual(a, iv(9))
+	plan = ExplainRange(a, iv(9), iv(9))
 	if plan.SkippablePages != tb.NumPages() {
 		t.Errorf("skippable = %d of %d", plan.SkippablePages, tb.NumPages())
 	}
 	// Estimate matches the real cost.
-	_, stats, err := Equal(context.Background(), a, iv(9))
+	_, stats, err := Range(context.Background(), a, iv(9), iv(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestExplainEqual(t *testing.T) {
 	}
 
 	// No index, no buffer: full scan plan.
-	plan = ExplainEqual(Access{Table: tb, Column: 0}, iv(1))
+	plan = ExplainRange(Access{Table: tb, Column: 0}, iv(1), iv(1))
 	if plan.Mechanism != "full scan" || plan.EstimatedPagesRead != tb.NumPages() {
 		t.Errorf("plan = %+v", plan)
 	}

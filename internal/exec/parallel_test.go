@@ -85,10 +85,10 @@ func diffBuffers(t *testing.T, label string, serial, par Access, numPages int) {
 func TestParallelMatchesSerialOracle(t *testing.T) {
 	sa, pa := oracleFixtures(t, 300, 4)
 	batch := []SharedQuery{
-		{Lo: iv(8), Hi: iv(8), Equality: true},
-		{Lo: iv(9), Hi: iv(9), Equality: true},
-		{Lo: iv(2), Hi: iv(2), Equality: true}, // covered: index hit
-		{Lo: iv(5), Hi: iv(9)},                 // range straddling coverage
+		{Lo: iv(8), Hi: iv(8)},
+		{Lo: iv(9), Hi: iv(9)},
+		{Lo: iv(2), Hi: iv(2)}, // covered: index hit
+		{Lo: iv(5), Hi: iv(9)}, // range straddling coverage
 	}
 	for round, label := range []string{"cold", "buffered"} {
 		so := ExecuteShared(sa, batch)
@@ -115,7 +115,7 @@ func TestParallelOracleRandomized(t *testing.T) {
 			for i := range batch {
 				lo := int64(rng.Intn(12) - 1) // keys are 0..9; stray outside on purpose
 				if rng.Intn(2) == 0 {
-					batch[i] = SharedQuery{Lo: iv(lo), Hi: iv(lo), Equality: true}
+					batch[i] = SharedQuery{Lo: iv(lo), Hi: iv(lo)}
 				} else {
 					batch[i] = SharedQuery{Lo: iv(lo), Hi: iv(lo + int64(rng.Intn(5)))}
 				}
@@ -157,7 +157,7 @@ func TestParallelFaultLeavesBufferUntouched(t *testing.T) {
 	fh.remaining.Store(25)
 	fh.armed.Store(true)
 
-	_, _, err := Equal(context.Background(), a, iv(8))
+	_, _, err := Range(context.Background(), a, iv(8), iv(8))
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -176,7 +176,7 @@ func TestParallelFaultLeavesBufferUntouched(t *testing.T) {
 
 	// Disarmed, the same query completes and matches the fixture oracle.
 	fh.armed.Store(false)
-	got, stats, err := Equal(context.Background(), a, iv(8))
+	got, stats, err := Range(context.Background(), a, iv(8), iv(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +195,8 @@ func TestParallelCancelOne(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	outs := ExecuteShared(a, []SharedQuery{
-		{Lo: iv(8), Hi: iv(8), Equality: true, Ctx: canceled},
-		{Lo: iv(9), Hi: iv(9), Equality: true},
+		{Lo: iv(8), Hi: iv(8), Ctx: canceled},
+		{Lo: iv(9), Hi: iv(9)},
 	})
 	if !errors.Is(outs[0].Err, context.Canceled) || outs[0].Matches != nil {
 		t.Errorf("canceled query: err=%v matches=%d", outs[0].Err, len(outs[0].Matches))
@@ -217,8 +217,8 @@ func TestParallelCancelAll(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	outs := ExecuteShared(a, []SharedQuery{
-		{Lo: iv(8), Hi: iv(8), Equality: true, Ctx: canceled},
-		{Lo: iv(9), Hi: iv(9), Equality: true, Ctx: canceled},
+		{Lo: iv(8), Hi: iv(8), Ctx: canceled},
+		{Lo: iv(9), Hi: iv(9), Ctx: canceled},
 	})
 	for i, o := range outs {
 		if !errors.Is(o.Err, context.Canceled) || o.Matches != nil {

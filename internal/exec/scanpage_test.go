@@ -36,12 +36,12 @@ func TestCorruptPageSurfacesOnEveryScanPath(t *testing.T) {
 	check("Get", err)
 	for _, workers := range []int{1, 4} {
 		a.Parallelism = workers
-		_, stats, err := Equal(context.Background(), a, iv(8))
+		_, stats, err := Range(context.Background(), a, iv(8), iv(8))
 		check("indexing pass", err)
 		if stats.ScanWorkers != workers {
 			t.Errorf("indexing pass ran %d workers, want %d", stats.ScanWorkers, workers)
 		}
-		_, stats, err = Equal(context.Background(), Access{Table: tb, Column: 0, Parallelism: workers}, iv(8))
+		_, stats, err = Range(context.Background(), Access{Table: tb, Column: 0, Parallelism: workers}, iv(8), iv(8))
 		check("full scan", err)
 		if !stats.FullScan {
 			t.Error("full scan path not taken")
@@ -67,7 +67,7 @@ func TestDecodeOnMatchAllocsFlat(t *testing.T) {
 	a := Access{Table: tb, Column: 0}
 	scanQ := []int{0}
 	allocs := func(key int64, p storage.PageID) float64 {
-		qs := []SharedQuery{{Lo: iv(key), Hi: iv(key), Equality: true}}
+		qs := []SharedQuery{{Lo: iv(key), Hi: iv(key)}}
 		states := []scanState{{active: true}}
 		outs := make([]SharedOutcome, 1)
 		liveQ, emit := serialDemux(outs, states, scanQ)

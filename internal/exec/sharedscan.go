@@ -21,24 +21,22 @@ import (
 // once. The engine's admission layer decides which queries form a batch;
 // this file only executes one.
 
-// SharedQuery is one predicate attached to a shared scan: the equality
-// query column = Lo when Equality is set, else the range
-// Lo <= column <= Hi. Ctx (nil means context.Background) cancels only
+// SharedQuery is one predicate attached to a shared scan: the range
+// Lo <= column <= Hi (a point query has Lo == Hi). Ctx (nil means context.Background) cancels only
 // this query: the scan drops the query's demux slot at the next page
 // boundary and keeps serving the other attachees; the pass itself aborts
 // early only once every attached query has been canceled.
 type SharedQuery struct {
-	Lo, Hi   storage.Value
-	Equality bool
-	Ctx      context.Context
+	Lo, Hi storage.Value
+	Ctx    context.Context
 }
 
 // matches reports whether a tuple value satisfies the query's predicate.
+// A value equal to Lo needs no second comparison: scanning queries are
+// never empty ranges, so Lo <= Hi.
 func (q *SharedQuery) matches(v storage.Value) bool {
-	if q.Equality {
-		return v.Equal(q.Lo)
-	}
-	return v.Compare(q.Lo) >= 0 && v.Compare(q.Hi) <= 0
+	c := v.Compare(q.Lo)
+	return c == 0 || c > 0 && v.Compare(q.Hi) <= 0
 }
 
 // SharedOutcome is one attached query's result: its matches, its own
@@ -84,8 +82,7 @@ func (s pageSet) read(stats *QueryStats, p storage.PageID) {
 //
 // The caller must hold the owning table's write lock whenever the batch
 // can mutate the Index Buffer — the same contract as a private indexing
-// scan. A batch of size one is exactly the old single-query execution;
-// Equal and Range are wrappers over it.
+// scan. Range is the wrapper for a batch of size one.
 func ExecuteShared(a Access, qs []SharedQuery) []SharedOutcome {
 	start := time.Now()
 	outs := make([]SharedOutcome, len(qs))
@@ -107,17 +104,10 @@ func ExecuteShared(a Access, qs []SharedQuery) []SharedOutcome {
 		}
 		st.seen = pageSet{}
 		outs[i].Stats.Key = q.Lo
-		if !q.Equality && q.Hi.Compare(q.Lo) < 0 {
+		if q.Hi.Compare(q.Lo) < 0 {
 			continue // empty range: answered without any access
 		}
-		hit := false
-		if a.Index != nil {
-			if q.Equality {
-				hit = a.Index.Covers(q.Lo)
-			} else {
-				hit = a.Index.CoversRange(q.Lo, q.Hi)
-			}
-		}
+		hit := a.Index != nil && a.Index.CoversRange(q.Lo, q.Hi)
 		outs[i].Stats.PartialHit = hit
 		if a.Space != nil {
 			// Table II: every attached query advances the LRU-K histories
@@ -125,13 +115,7 @@ func ExecuteShared(a Access, qs []SharedQuery) []SharedOutcome {
 			a.Space.OnQuery(a.Buffer, hit)
 		}
 		if hit {
-			var rids []storage.RID
-			if q.Equality {
-				rids = a.Index.Lookup(q.Lo)
-			} else {
-				rids = a.Index.LookupRange(q.Lo, q.Hi)
-			}
-			m, err := fetchRIDs(a, rids, &outs[i].Stats, st.seen)
+			m, err := fetchRIDs(a, a.Index.LookupRange(q.Lo, q.Hi), &outs[i].Stats, st.seen)
 			if err != nil {
 				outs[i].Err = err
 				continue
@@ -313,13 +297,7 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 
 	// Index Buffer scan (lines 8–10), demultiplexed per query.
 	for _, i := range scanQ {
-		var rids []storage.RID
-		if qs[i].Equality {
-			rids = a.Buffer.Lookup(qs[i].Lo)
-		} else {
-			rids = a.Buffer.LookupRange(qs[i].Lo, qs[i].Hi)
-		}
-		m, err := fetchRIDs(a, rids, &outs[i].Stats, states[i].seen)
+		m, err := fetchRIDs(a, a.Buffer.LookupRange(qs[i].Lo, qs[i].Hi), &outs[i].Stats, states[i].seen)
 		if err != nil {
 			outs[i].Err = err
 			states[i].active = false
@@ -346,12 +324,12 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 		skipped, entriesAdded, aborted = serialIndexingPass(a, qs, outs, states, scanQ, inI, snap, numPages)
 	}
 
-	// Recover covered matches on skipped pages for range queries: a range
-	// straddling the coverage predicate has covered matches sitting
-	// unreachable on skipped pages (see Range).
+	// Recover covered matches on skipped pages: a range straddling the
+	// coverage predicate has covered matches sitting unreachable on
+	// skipped pages (see Range).
 	if !aborted && a.Index != nil && len(skipped) > 0 {
 		for _, i := range scanQ {
-			if !states[i].active || qs[i].Equality {
+			if !states[i].active || !recoversSkipped(qs[i].Lo, qs[i].Hi) {
 				continue
 			}
 			var missing []storage.RID

@@ -98,7 +98,7 @@ func TestMidPageFailureRollsBackPage(t *testing.T) {
 	a.Parallelism = 1                 // the serial pass: only it can fail mid-page after BeginPage
 	fh.remaining, fh.armed = 25, true // fails on the 3rd page, mid-page
 
-	_, stats, err := Equal(context.Background(), a, iv(8))
+	_, stats, err := Range(context.Background(), a, iv(8), iv(8))
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -120,7 +120,7 @@ func TestMidPageFailureRollsBackPage(t *testing.T) {
 	checkCounterInvariant(t, real, a)
 
 	// With the fault disarmed, the query matches the serial oracle.
-	got, _, err := Equal(context.Background(), a, iv(8))
+	got, _, err := Range(context.Background(), a, iv(8), iv(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +138,10 @@ func TestExecuteSharedBatch(t *testing.T) {
 	a := scanFixture(t, tb)
 
 	outs := ExecuteShared(a, []SharedQuery{
-		{Lo: iv(8), Hi: iv(8), Equality: true}, // miss — batch leader
-		{Lo: iv(9), Hi: iv(9), Equality: true}, // miss
-		{Lo: iv(2), Hi: iv(2), Equality: true}, // covered: served from the index
-		{Lo: iv(5), Hi: iv(9)},                 // range miss straddling coverage
+		{Lo: iv(8), Hi: iv(8)}, // miss — batch leader
+		{Lo: iv(9), Hi: iv(9)}, // miss
+		{Lo: iv(2), Hi: iv(2)}, // covered: served from the index
+		{Lo: iv(5), Hi: iv(9)}, // range miss straddling coverage
 	})
 	want := []int{30, 30, 30, 150}
 	for i, o := range outs {
@@ -179,7 +179,7 @@ func TestExecuteSharedBatch(t *testing.T) {
 	}
 
 	// One pass buffered every page: the next miss skips the whole table.
-	got, s2, err := Equal(context.Background(), a, iv(9))
+	got, s2, err := Range(context.Background(), a, iv(9), iv(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +195,8 @@ func TestExecuteSharedCancelOne(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	outs := ExecuteShared(a, []SharedQuery{
-		{Lo: iv(8), Hi: iv(8), Equality: true, Ctx: canceled},
-		{Lo: iv(9), Hi: iv(9), Equality: true},
+		{Lo: iv(8), Hi: iv(8), Ctx: canceled},
+		{Lo: iv(9), Hi: iv(9)},
 	})
 
 	if !errors.Is(outs[0].Err, context.Canceled) || outs[0].Matches != nil {

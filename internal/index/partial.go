@@ -102,29 +102,31 @@ type Snapshot struct {
 // Snapshot returns the current index state without taking any lock.
 func (p *Partial) Snapshot() Snapshot { return Snapshot{st: p.state.Load(), p: p} }
 
-// Covers reports whether v is covered by the snapshot's predicate.
-func (s Snapshot) Covers(v storage.Value) bool { return s.st.cov.Covers(v) }
-
 // CoversRange reports whether [lo, hi] is entirely covered.
 func (s Snapshot) CoversRange(lo, hi storage.Value) bool {
 	return CoversWholeRange(s.st.cov, lo, hi)
 }
 
-// EntryCount returns the snapshot's entry count.
-func (s Snapshot) EntryCount() int { return s.st.tree.EntryCount() }
-
-// Lookup returns the posting list for v. The caller must have checked
-// Covers; no probe is counted — call NoteProbe once the result is
-// actually used. The returned slice aliases the immutable tree and must
-// not be modified.
-func (s Snapshot) Lookup(v storage.Value) []storage.RID { return s.st.tree.Lookup(v) }
-
 // LookupRange returns the RIDs with values in [lo, hi]. The caller must
-// have checked CoversRange; no probe is counted.
+// have checked CoversRange; no probe is counted — call NoteProbe once
+// the result is actually used. The result follows postings' sharing
+// contract.
 func (s Snapshot) LookupRange(lo, hi storage.Value) []storage.RID {
+	return postings(s.st.tree, lo, hi)
+}
+
+// postings collects the posting lists of every key in [lo, hi]. A range
+// holding a single key — every point query — returns that key's posting
+// list itself, capped so a caller's append copies, which keeps a point
+// probe free of allocations; callers must not mutate the result.
+func postings(tree *btree.PTree, lo, hi storage.Value) []storage.RID {
 	var out []storage.RID
-	s.st.tree.AscendRange(lo, hi, func(_ storage.Value, post []storage.RID) bool {
-		out = append(out, post...)
+	tree.AscendRange(lo, hi, func(_ storage.Value, post []storage.RID) bool {
+		if out == nil {
+			out = post[:len(post):len(post)]
+		} else {
+			out = append(out, post...)
+		}
 		return true
 	})
 	return out
@@ -154,19 +156,14 @@ func (p *Partial) CoversRange(lo, hi storage.Value) bool {
 
 // LookupRange returns the RIDs of tuples with values in [lo, hi]. The
 // whole range must be covered; probing an uncovered range panics, as in
-// Lookup.
+// Lookup. The result follows postings' sharing contract.
 func (p *Partial) LookupRange(lo, hi storage.Value) []storage.RID {
 	st := p.state.Load()
 	if !CoversWholeRange(st.cov, lo, hi) {
 		panic(fmt.Sprintf("index %s: range lookup of uncovered range [%v, %v]", p.name, lo, hi))
 	}
 	p.probes.Add(1)
-	var out []storage.RID
-	st.tree.AscendRange(lo, hi, func(_ storage.Value, post []storage.RID) bool {
-		out = append(out, post...)
-		return true
-	})
-	return out
+	return postings(st.tree, lo, hi)
 }
 
 // ScanRange returns the postings of all index entries with values in
@@ -176,12 +173,7 @@ func (p *Partial) LookupRange(lo, hi storage.Value) []storage.RID {
 // skip.
 func (p *Partial) ScanRange(lo, hi storage.Value) []storage.RID {
 	p.probes.Add(1)
-	var out []storage.RID
-	p.state.Load().tree.AscendRange(lo, hi, func(_ storage.Value, post []storage.RID) bool {
-		out = append(out, post...)
-		return true
-	})
-	return out
+	return postings(p.state.Load().tree, lo, hi)
 }
 
 // Contains reports whether (v, rid) is present. Unlike Lookup it may be

@@ -30,17 +30,17 @@ func newEngine(t *testing.T) *engine.Engine {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 200; i++ {
-		if _, err := tb.Insert(storage.NewTuple(storage.Int64Value(i % 50))); err != nil {
+		if _, err := tb.InsertCtx(context.Background(), storage.NewTuple(storage.Int64Value(i%50))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tb.QueryEqual(0, storage.Int64Value(5)); err != nil { // hit
+	if _, _, err := tb.QueryRangeCtx(context.Background(), 0, storage.Int64Value(5), storage.Int64Value(5)); err != nil { // hit
 		t.Fatal(err)
 	}
-	if _, _, err := tb.QueryEqual(0, storage.Int64Value(30)); err != nil { // miss
+	if _, _, err := tb.QueryRangeCtx(context.Background(), 0, storage.Int64Value(30), storage.Int64Value(30)); err != nil { // miss
 		t.Fatal(err)
 	}
 	return e
@@ -158,7 +158,7 @@ func TestTimelineEndpointFilters(t *testing.T) {
 	e.Timeline().Enable(true)
 	tb := e.Table("t")
 	for i := int64(0); i < 5; i++ {
-		if _, _, err := tb.QueryEqual(0, storage.Int64Value(20+i)); err != nil {
+		if _, _, err := tb.QueryRangeCtx(context.Background(), 0, storage.Int64Value(20+i), storage.Int64Value(20+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +268,7 @@ func TestConcurrentScrapeTimelineE2E(t *testing.T) {
 			defer work.Done()
 			for i := 0; i < 80; i++ {
 				k := int64(11 + (g*13+i)%39) // outside the covered [1,10] range: all misses
-				if _, _, err := tb.QueryEqual(0, storage.Int64Value(k)); err != nil {
+				if _, _, err := tb.QueryRangeCtx(context.Background(), 0, storage.Int64Value(k), storage.Int64Value(k)); err != nil {
 					t.Error(err)
 				}
 			}

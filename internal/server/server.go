@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -33,7 +34,8 @@ type Config struct {
 	ReadTimeout time.Duration
 	// WriteTimeout is the per-response write deadline. 0 means 30s.
 	WriteTimeout time.Duration
-	// MaxLineBytes bounds one statement line. 0 means 1 MiB.
+	// MaxLineBytes bounds one statement line; a longer line is answered
+	// with a bad_statement error. 0 means 1 MiB.
 	MaxLineBytes int
 }
 
@@ -197,16 +199,23 @@ func (s *Server) handle(conn net.Conn) {
 	if err != nil {
 		return // closed database; nothing to say
 	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), s.cfg.MaxLineBytes)
+	br := bufio.NewReader(conn)
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		if !sc.Scan() {
-			// EOF, idle timeout, an oversized line, or the drain poke
-			// from Shutdown (which expires the pending read).
+		line, err := readLine(br, s.cfg.MaxLineBytes)
+		var resp response
+		quit := false
+		switch {
+		case errors.Is(err, errLineTooLong):
+			s.errored.Add(1)
+			resp = errResponse(fmt.Errorf("request line exceeds %d bytes", s.cfg.MaxLineBytes))
+		case err != nil:
+			// EOF, idle timeout, or the drain poke from Shutdown (which
+			// expires the pending read).
 			return
+		default:
+			resp, quit = s.serveLine(&sess, strings.TrimSpace(line))
 		}
-		resp, quit := s.serveLine(&sess, strings.TrimSpace(sc.Text()))
 
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		enc, err := json.Marshal(resp)
@@ -219,6 +228,40 @@ func (s *Server) handle(conn net.Conn) {
 		if quit || s.isDraining() {
 			return
 		}
+	}
+}
+
+// errLineTooLong reports a request line longer than Config.MaxLineBytes.
+var errLineTooLong = errors.New("request line too long")
+
+// readLine reads one newline-terminated request line of at most max
+// bytes; a final line without a newline counts too. A longer line is
+// consumed to its end and reported as errLineTooLong, so the connection
+// stays in step and the client gets one reply for it, while the server
+// never buffers more than max bytes of it.
+func readLine(r *bufio.Reader, max int) (string, error) {
+	var line []byte
+	tooLong := false
+	for {
+		frag, err := r.ReadSlice('\n')
+		if !tooLong && len(line)+len(frag) > max+1 { // +1: the newline
+			tooLong, line = true, nil
+		}
+		if !tooLong {
+			line = append(line, frag...)
+		}
+		switch {
+		case errors.Is(err, bufio.ErrBufferFull):
+			continue
+		case errors.Is(err, io.EOF) && (len(line) > 0 || tooLong):
+			// The final line lacks a newline; the next read reports EOF.
+		case err != nil:
+			return "", err
+		}
+		if tooLong {
+			return "", errLineTooLong
+		}
+		return string(line), nil
 	}
 }
 

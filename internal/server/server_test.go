@@ -15,7 +15,7 @@ import (
 	"repro"
 )
 
-func openDB(t *testing.T, o repro.Options) *repro.DB {
+func openDB(t testing.TB, o repro.Options) *repro.DB {
 	t.Helper()
 	db, err := repro.Open(o)
 	if err != nil {
@@ -25,7 +25,7 @@ func openDB(t *testing.T, o repro.Options) *repro.DB {
 	return db
 }
 
-func startServer(t *testing.T, db *repro.DB, cfg Config) (*Server, string) {
+func startServer(t testing.TB, db *repro.DB, cfg Config) (*Server, string) {
 	t.Helper()
 	srv := New(db, cfg)
 	addr, err := srv.Start()
@@ -103,9 +103,13 @@ func (c *protoConn) do(stmt string) response {
 
 func TestServerProtocol(t *testing.T) {
 	db := openDB(t, repro.Options{Tenants: []repro.Tenant{{Name: "acme"}}})
-	_, addr := startServer(t, db, Config{})
+	_, addr := startServer(t, db, Config{MaxLineBytes: 4 << 10})
 	c := dialProto(t, addr)
 
+	// An oversize line gets an error reply and leaves the stream in step.
+	if r := c.do(strings.Repeat("x", 100<<10)); r.OK || r.Code != CodeBadStatement {
+		t.Fatalf("oversize line: got %+v", r)
+	}
 	if r := c.do("TENANT nope"); r.OK || r.Code != CodeTenantUnknown {
 		t.Fatalf("unknown tenant: got %+v", r)
 	}

@@ -50,14 +50,6 @@ type Result struct {
 	Quit   bool             // the user asked to leave
 }
 
-// Eval parses and executes one command line without a context.
-//
-// Deprecated: use EvalCtx, which cancels long scans mid-statement. Eval
-// remains for callers with no context to thread.
-func (s *Shell) Eval(line string) (Result, error) {
-	return s.EvalCtx(context.Background(), line)
-}
-
 // EvalCtx parses and executes one command line. Empty lines and comments
 // (lines starting with --) are no-ops. ctx is checked up front and
 // threaded into the query paths (SELECT, the lookups of DELETE and
@@ -223,8 +215,12 @@ func column(t *engine.Table, name string) (int, error) {
 	return i, nil
 }
 
-// value parses a literal token into a storage value.
-func value(t token) (storage.Value, error) {
+// value consumes a literal token and parses it into a storage value.
+func (p *parser) value() (storage.Value, error) {
+	t, err := p.next()
+	if err != nil {
+		return storage.Value{}, err
+	}
 	switch t.kind {
 	case tokNumber:
 		n, err := strconv.ParseInt(t.text, 10, 64)
@@ -346,11 +342,7 @@ func (s *Shell) evalCreateIndex(p *parser) (Result, error) {
 		p.pos++
 		var vals []storage.Value
 		for {
-			lt, err := p.next()
-			if err != nil {
-				return Result{}, err
-			}
-			v, err := value(lt)
+			v, err := p.value()
 			if err != nil {
 				return Result{}, err
 			}
@@ -368,22 +360,14 @@ func (s *Shell) evalCreateIndex(p *parser) (Result, error) {
 		}
 		cov = index.NewSetCoverage(vals...)
 	} else {
-		loTok, err := p.next()
-		if err != nil {
-			return Result{}, err
-		}
-		lo, err := value(loTok)
+		lo, err := p.value()
 		if err != nil {
 			return Result{}, err
 		}
 		if err := p.word("TO"); err != nil {
 			return Result{}, err
 		}
-		hiTok, err := p.next()
-		if err != nil {
-			return Result{}, err
-		}
-		hi, err := value(hiTok)
+		hi, err := p.value()
 		if err != nil {
 			return Result{}, err
 		}
@@ -417,11 +401,7 @@ func (s *Shell) evalInsert(ctx context.Context, p *parser) (Result, error) {
 		}
 		var vals []storage.Value
 		for {
-			lt, err := p.next()
-			if err != nil {
-				return Result{}, err
-			}
-			v, err := value(lt)
+			v, err := p.value()
 			if err != nil {
 				return Result{}, err
 			}
@@ -468,11 +448,7 @@ func (s *Shell) wherePredicate(p *parser, t *engine.Table) (int, storage.Value, 
 	if err := p.punct("="); err != nil {
 		return 0, storage.Value{}, err
 	}
-	lt, err := p.next()
-	if err != nil {
-		return 0, storage.Value{}, err
-	}
-	key, err := value(lt)
+	key, err := p.value()
 	if err != nil {
 		return 0, storage.Value{}, err
 	}
@@ -495,7 +471,7 @@ func (s *Shell) evalDelete(ctx context.Context, p *parser) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	matches, _, err := t.QueryEqualCtx(ctx, col, key)
+	matches, _, err := t.QueryRangeCtx(ctx, col, key, key)
 	if err != nil {
 		return Result{}, err
 	}
@@ -530,11 +506,7 @@ func (s *Shell) evalUpdate(ctx context.Context, p *parser) (Result, error) {
 	if err := p.punct("="); err != nil {
 		return Result{}, err
 	}
-	lt, err := p.next()
-	if err != nil {
-		return Result{}, err
-	}
-	newVal, err := value(lt)
+	newVal, err := p.value()
 	if err != nil {
 		return Result{}, err
 	}
@@ -542,7 +514,7 @@ func (s *Shell) evalUpdate(ctx context.Context, p *parser) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	matches, _, err := t.QueryEqualCtx(ctx, col, key)
+	matches, _, err := t.QueryRangeCtx(ctx, col, key, key)
 	if err != nil {
 		return Result{}, err
 	}
@@ -587,68 +559,39 @@ func (s *Shell) evalSelect(ctx context.Context, p *parser, explain bool) (Result
 	if err != nil {
 		return Result{}, err
 	}
-
-	var rows []rowOut
-	var stats exec.QueryStats
+	// A point predicate is the range [key, key].
+	var lo, hi storage.Value
 	switch {
 	case op.kind == tokPunct && op.text == "=":
-		lt, err := p.next()
-		if err != nil {
+		if lo, err = p.value(); err != nil {
 			return Result{}, err
 		}
-		key, err := value(lt)
-		if err != nil {
-			return Result{}, err
-		}
-		if explain {
-			plan, err := t.ExplainEqual(col, key)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Output: plan.String()}, nil
-		}
-		matches, st, err := t.QueryEqualCtx(ctx, col, key)
-		if err != nil {
-			return Result{}, err
-		}
-		rows = renderMatches(t, matches)
-		stats = st
+		hi = lo
 	case op.kind == tokWord && op.text == "BETWEEN":
-		loTok, err := p.next()
-		if err != nil {
-			return Result{}, err
-		}
-		lo, err := value(loTok)
-		if err != nil {
+		if lo, err = p.value(); err != nil {
 			return Result{}, err
 		}
 		if err := p.word("AND"); err != nil {
 			return Result{}, err
 		}
-		hiTok, err := p.next()
-		if err != nil {
+		if hi, err = p.value(); err != nil {
 			return Result{}, err
 		}
-		hi, err := value(hiTok)
-		if err != nil {
-			return Result{}, err
-		}
-		if explain {
-			plan, err := t.ExplainRange(col, lo, hi)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Output: plan.String()}, nil
-		}
-		matches, st, err := t.QueryRangeCtx(ctx, col, lo, hi)
-		if err != nil {
-			return Result{}, err
-		}
-		rows = renderMatches(t, matches)
-		stats = st
 	default:
 		return Result{}, fmt.Errorf("expected = or BETWEEN, got %q", op.text)
 	}
+	if explain {
+		plan, err := t.ExplainRange(col, lo, hi)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Output: plan.String()}, nil
+	}
+	matches, stats, err := t.QueryRangeCtx(ctx, col, lo, hi)
+	if err != nil {
+		return Result{}, err
+	}
+	rows := renderMatches(t, matches)
 
 	var sb strings.Builder
 	for _, r := range rows {

@@ -53,7 +53,7 @@ const (
 	// location, RID the (possibly relocated) result; Images holds one
 	// or two dirtied pages.
 	KindUpdate Kind = 3
-	// KindQuery logs one query descriptor (equal or range) for
+	// KindQuery logs one query descriptor (a range; a point is [k, k]) for
 	// post-recovery buffer re-warming. Query records carry no page
 	// images and are never needed for redo correctness.
 	KindQuery Kind = 4
@@ -81,7 +81,7 @@ type PageImage struct {
 }
 
 // Record is one log record. DML kinds use Pages/RID/OldRID/Images;
-// KindQuery uses Column/Equal/Lo/Hi.
+// KindQuery uses Column/Lo/Hi (a point query is the range [k, k]).
 type Record struct {
 	LSN   LSN
 	Kind  Kind
@@ -95,7 +95,6 @@ type Record struct {
 	Images []PageImage
 
 	Column int
-	Equal  bool
 	Lo, Hi storage.Value
 }
 
@@ -201,11 +200,7 @@ func encodePayload(buf []byte, r *Record) ([]byte, error) {
 		}
 	case KindQuery:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Column))
-		if r.Equal {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = append(buf, 0) // retired point flag; see decodePayload
 		buf = appendValue(buf, r.Lo)
 		buf = appendValue(buf, r.Hi)
 	default:
@@ -265,7 +260,9 @@ func decodePayload(buf []byte, r *Record) error {
 			return fmt.Errorf("wal: truncated query record")
 		}
 		r.Column = int(binary.LittleEndian.Uint32(buf))
-		r.Equal = buf[4] != 0
+		// buf[4] once flagged a point query. Points are now the range
+		// [Lo, Hi] with Lo == Hi, which is what logs carrying the flag
+		// also recorded, so it is ignored; new records write 0.
 		buf = buf[5:]
 		var err error
 		if r.Lo, buf, err = readValue(buf); err != nil {

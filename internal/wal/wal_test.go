@@ -38,7 +38,7 @@ func TestRoundTrip(t *testing.T) {
 		var rec *Record
 		if i%4 == 3 {
 			rec = &Record{
-				Kind: KindQuery, Table: "t", Column: 2, Equal: i%2 == 0,
+				Kind: KindQuery, Table: "t", Column: 2,
 				Lo: storage.Int64Value(int64(i)), Hi: storage.StringValue(fmt.Sprintf("v%d", i)),
 			}
 		} else {
@@ -75,7 +75,7 @@ func TestRoundTrip(t *testing.T) {
 		g, wnt := got[i], want[i]
 		if g.LSN != LSN(i+1) || g.Kind != wnt.Kind || g.Table != wnt.Table ||
 			g.Pages != wnt.Pages || g.RID != wnt.RID || g.OldRID != wnt.OldRID ||
-			g.Column != wnt.Column || g.Equal != wnt.Equal ||
+			g.Column != wnt.Column ||
 			!g.Lo.Equal(wnt.Lo) && g.Lo.IsValid() != wnt.Lo.IsValid() {
 			t.Fatalf("record %d: got %+v want %+v", i, g, wnt)
 		}

@@ -21,6 +21,7 @@ func TestOptionsValidateTenants(t *testing.T) {
 		{"empty name", []Tenant{{Name: ""}}, "empty tenant name"},
 		{"negative quota", []Tenant{{Name: "a", Quota: -1}}, "negative"},
 		{"duplicate", []Tenant{{Name: "a"}, {Name: "a", Quota: 5}}, "duplicate tenant"},
+		{"qualifier in name", []Tenant{{Name: "a:b"}}, "must not contain ':'"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,6 +195,70 @@ func TestTenantQuotaDegradeAndStats(t *testing.T) {
 	}
 	if ts.Degraded == 0 {
 		t.Error("ledger Degraded = 0 despite degraded scans")
+	}
+}
+
+// TestTenantQuotaSurvivesRestart reopens a data directory holding a
+// tenant table: the recovered table must keep charging its tenant's
+// quota, and a reopen that no longer declares the tenant must fail
+// rather than load the table unmetered.
+func TestTenantQuotaSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{DataDir: dir, Tenants: []Tenant{{Name: "acme", Quota: 3}}}
+	missEveryKey := func(db *DB) {
+		t.Helper()
+		sess, err := db.Session("acme")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 2; k <= 30; k++ { // 29 keys the index (1 TO 1) does not cover
+			if _, err := sess.Exec(context.Background(), fmt.Sprintf("SELECT * FROM t WHERE a = %d", k)); err != nil {
+				t.Fatalf("k=%d: %v", k, err)
+			}
+		}
+	}
+
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := db.Session("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillTenantTable(t, sess.Exec, 60, 30, 1)
+	if _, err := db.CreateTable("acme:u", Int64Column("a")); err == nil {
+		t.Error("a default-tenant table took a tenant-qualified name")
+	}
+	missEveryKey(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = OpenExisting(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	missEveryKey(db)
+	ts := db.TenantStats()
+	if len(ts) != 1 || ts[0].Name != "acme" {
+		t.Fatalf("TenantStats = %+v", ts)
+	}
+	if used := db.SpaceUsed(); used > 3 || ts[0].Used != used {
+		t.Errorf("after restart: space used %d, tenant ledger %+v; want the quota-3 tenant to hold it all", used, ts[0])
+	}
+	if ts[0].Degraded == 0 {
+		t.Error("after restart the over-quota tenant never degraded")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if db, err := OpenExisting(Options{DataDir: dir}); !errors.Is(err, ErrTenantUnknown) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("reopen without declaring acme: err = %v, want ErrTenantUnknown", err)
 	}
 }
 
