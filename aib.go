@@ -104,11 +104,6 @@ type Options struct {
 	// DisableIndexBuffer turns the contribution off (baseline mode):
 	// partial-index misses degrade to full scans.
 	DisableIndexBuffer bool
-	// DisableEpochReadPath turns the epoch-based lock-free read path off,
-	// forcing every query through the table RWMutex. Results and counters
-	// are identical either way; the flag exists as the RWMutex baseline
-	// arm of the contended-read benchmarks (cmd/aibench -epoch).
-	DisableEpochReadPath bool
 	// DataDir, when non-empty, stores table pages in real files under
 	// the directory instead of the in-memory simulated disk. Call Close
 	// to flush and release them.
@@ -388,8 +383,7 @@ func engineConfig(o Options) engine.Config {
 			DisplacementJitter: o.DisplacementJitter,
 			Seed:               o.Seed,
 		},
-		DisableIndexBuffer:   o.DisableIndexBuffer,
-		DisableEpochReadPath: o.DisableEpochReadPath,
+		DisableIndexBuffer: o.DisableIndexBuffer,
 		WAL: engine.WALConfig{
 			Disable:         o.WAL.Disable,
 			SyncPolicy:      o.WAL.Sync.policy(),
@@ -763,7 +757,7 @@ func (db *DB) ParallelScanStats() ParallelScanStats { return db.eng.ParallelScan
 // TraceReport renders per-column query statistics — queries, hit rate,
 // mean pages per query, the share of pages the Index Buffer let scans
 // skip, and mean wall-clock microseconds per query.
-func (db *DB) TraceReport() string { return db.eng.Tracer().Report() }
+func (db *DB) TraceReport() string { return db.eng.Tracer().Report(nil) }
 
 // TraceEvent is one structured span event from the adaptive machinery:
 // miss admission, shared-scan leadership or attachment, Algorithm-2 page
@@ -771,14 +765,30 @@ func (db *DB) TraceReport() string { return db.eng.Tracer().Report() }
 // process-wide monotonic sequence number; see trace.Span.
 type TraceEvent = trace.Span
 
-// EnableTraceEvents turns span-event recording on or off. Off (the
+// Observe turns observation on or off — the one switch behind span
+// events (TraceEvents), adaptation-timeline sampling (Timeline) and the
+// per-statement flight recorder (RecentQueries, SlowQueries). Off (the
 // default) reduces the instrumentation on every query path to a single
-// atomic load — see the overhead contract in DESIGN.md, "Observability".
-func (db *DB) EnableTraceEvents(on bool) { db.eng.Tracer().EnableSpans(on) }
+// atomic load with no allocation — see the overhead contract in
+// DESIGN.md, "Observability". Retained data stays readable when off.
+//
+// While on, every statement that enters the statement API (Exec,
+// Session.Exec, the wire server) is flight-recorded: a trace ID is
+// minted (or taken from the caller via the wire protocol's TRACE
+// prefix), threaded through execution so span events and WAL commits
+// carry it, and the completed record lands in a bounded ring;
+// statements of at least 10ms also enter the slow-query ring. Every
+// query boundary samples the queried column's coverage, counter
+// distribution and occupancy, and adaptive events (displacement, page
+// completion) mark their buffer for resampling.
+func (db *DB) Observe(on bool) { db.eng.Observe(on) }
 
-// TraceEvents returns the retained span events, newest first. Recording
-// must have been enabled with EnableTraceEvents; the ring keeps the most
-// recent events only.
+// Observing reports whether observation is on.
+func (db *DB) Observing() bool { return db.eng.Observing() }
+
+// TraceEvents returns the retained span events, newest first. Events
+// are recorded while Observe is on; the ring keeps the most recent
+// events only.
 func (db *DB) TraceEvents() []TraceEvent { return db.eng.Tracer().Spans(1 << 30) }
 
 // LatencyStats is one execution mechanism's query-latency summary in
@@ -826,16 +836,9 @@ type TimelineSeries = timeline.Series
 // timeline.Convergence.
 type Convergence = timeline.Convergence
 
-// EnableTimeline turns adaptation-timeline sampling on or off. Off (the
-// default) reduces the instrumentation on every query path to a single
-// atomic load, the same contract as EnableTraceEvents. While on, every
-// query boundary samples the queried column's coverage, counter
-// distribution and occupancy, and adaptive events (displacement,
-// page completion) mark their buffer for resampling.
-func (db *DB) EnableTimeline(on bool) { db.eng.Timeline().Enable(on) }
-
 // Timeline returns the retained adaptation timeline, one series per
-// (table, column), sorted by buffer name. Empty until EnableTimeline.
+// (table, column), sorted by buffer name. Empty until queries run while
+// Observe is on.
 func (db *DB) Timeline() []TimelineSeries { return db.eng.Timeline().Series() }
 
 // Convergence returns the convergence verdicts — the paper-shaped
@@ -847,12 +850,12 @@ func (db *DB) Convergence() []Convergence { return db.eng.Convergence() }
 // and write failures; see timeline.SinkStats.
 type TelemetryStats = timeline.SinkStats
 
-// EnableTelemetrySink streams structured telemetry — every trace span
-// and every timeline sample, one JSON object per line — to w, enabling
-// trace events and timeline sampling as a side effect. The caller owns
-// w's lifecycle; writes are serialized internally and a failed write
-// drops that record (see TelemetryStats) rather than failing queries.
-// A nil w detaches the current sink and leaves recording enabled.
+// EnableTelemetrySink streams structured telemetry — every trace span,
+// timeline sample and completed flight record, one JSON object per
+// line — to w and calls Observe(true). The caller owns w's lifecycle;
+// writes are serialized internally and a failed write drops that
+// record (see TelemetryStats) rather than failing queries. A nil w
+// detaches the current sink and leaves observation on.
 func (db *DB) EnableTelemetrySink(w io.Writer) {
 	if w == nil {
 		db.eng.SetTelemetrySink(nil)
@@ -879,34 +882,13 @@ func (db *DB) TelemetryStats() TelemetryStats {
 // duration and error; see flight.Record.
 type FlightRecord = flight.Record
 
-// FlightStats reports the flight recorder's counters: enabled state,
-// completed and slow-captured statements, and the slow threshold; see
-// flight.Stats.
+// FlightStats reports the flight recorder's counters: whether Observe
+// is on, completed and slow-captured statements, and the slow
+// threshold; see flight.Stats.
 type FlightStats = flight.Stats
 
-// EnableFlightRecorder turns the per-statement flight recorder on.
-// While on, every statement that enters the statement API (Exec,
-// Session.Exec, the wire server) is recorded: a trace ID is minted (or
-// taken from the caller via the wire protocol's TRACE prefix), threaded
-// through execution so span events and WAL commits carry it, and the
-// completed record lands in a bounded in-memory ring. Statements at or
-// above slowThreshold are additionally kept in a separate slow-query
-// ring (0 keeps the current threshold, initially 10ms). Off (the
-// default) reduces the per-statement cost to a single atomic load, the
-// same contract as EnableTraceEvents.
-func (db *DB) EnableFlightRecorder(slowThreshold time.Duration) {
-	db.eng.Flight().Enable(slowThreshold)
-}
-
-// DisableFlightRecorder turns the flight recorder off. Retained records
-// stay readable.
-func (db *DB) DisableFlightRecorder() { db.eng.Flight().Disable() }
-
-// FlightRecorderEnabled reports whether the flight recorder is on.
-func (db *DB) FlightRecorderEnabled() bool { return db.eng.Flight().Enabled() }
-
 // FlightStats reads the flight recorder's counters.
-func (db *DB) FlightStats() FlightStats { return db.eng.Flight().Stats() }
+func (db *DB) FlightStats() FlightStats { return db.eng.FlightStats() }
 
 // MintTraceID returns a fresh process-unique trace ID, the same minting
 // the recorder applies to statements that arrive without one. The wire
@@ -915,7 +897,7 @@ func (db *DB) FlightStats() FlightStats { return db.eng.Flight().Stats() }
 func (db *DB) MintTraceID() string { return db.eng.Flight().MintID() }
 
 // SlowQueries returns up to n records from the slow-query ring, slowest
-// first. Empty until EnableFlightRecorder.
+// first. Empty until statements run while Observe is on.
 func (db *DB) SlowQueries(n int) []FlightRecord { return db.eng.Flight().Slow(n) }
 
 // RecentQueries returns up to n most recently completed flight records,

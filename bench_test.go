@@ -671,25 +671,19 @@ func BenchmarkChurn(b *testing.B) {
 }
 
 // BenchmarkTraceOverhead measures the observability layer's per-query
-// cost on the hot hit path. With span recording and timeline sampling
-// off (the default) every instrumentation point is a single atomic load
-// and the access path allocates nothing extra, so the "off" sub-benchmark
-// should be within noise of the enabled ones — the overhead contract in
-// DESIGN.md, "Observability" and "Adaptation timeline".
+// cost on the hot hit path, with the one observation gate off (the
+// default) and on. Off, every instrumentation point is a single atomic
+// load and the access path allocates nothing extra — the overhead
+// contract in DESIGN.md, "Observability" and "Adaptation timeline". The
+// Table.Query path has no statement boundary, so the "on" arm pays span
+// and timeline work but opens no flight record.
 func BenchmarkTraceOverhead(b *testing.B) {
-	cases := []struct {
-		name                    string
-		spans, timeline, flight bool
-	}{
-		{"off", false, false, false},
-		{"spans-on", true, false, false},
-		{"timeline-on", false, true, false},
-		{"spans-and-timeline-on", true, true, false},
-		{"flight-on", false, false, true},
-		{"all-on", true, true, true},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
+	for _, on := range []bool{false, true} {
+		name := "off"
+		if on {
+			name = "on"
+		}
+		b.Run(name, func(b *testing.B) {
 			db := MustOpen(Options{})
 			defer db.Close()
 			tb, err := db.CreateTable("data", Int64Column("k"), StringColumn("pad"))
@@ -707,14 +701,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			if err := tb.CreatePartialRangeIndex("k", 0, 99); err != nil {
 				b.Fatal(err)
 			}
-			db.EnableTraceEvents(tc.spans)
-			db.EnableTimeline(tc.timeline)
-			if tc.flight {
-				// The Table.Query path has no statement boundary, so the
-				// flight arms measure the Enabled+FromContext gate every
-				// instrumentation point pays — the embedded-API cost.
-				db.EnableFlightRecorder(time.Hour)
-			}
+			db.Observe(on)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -121,8 +121,7 @@ func main() {
 	observing := *listen != "" || sink != nil
 	if observing {
 		bench.SetEngineObserver(func(e *engine.Engine) {
-			e.Tracer().EnableSpans(true)
-			e.Timeline().Enable(true)
+			e.Observe(true)
 			if sink != nil {
 				e.SetTelemetrySink(sink)
 			}

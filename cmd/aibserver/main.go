@@ -107,12 +107,9 @@ func open(opts repro.Options) (*repro.DB, error) {
 }
 
 // serveObs mounts db.MetricsHandler on its own HTTP listener and turns
-// on timeline sampling, span recording and the per-statement flight
-// recorder, so /timeline, /debug/queries and SHOW SLOW have data.
+// observation on, so /timeline, /debug/queries and SHOW SLOW have data.
 func serveObs(db *repro.DB, addr string) (interface{ Close() error }, string, error) {
-	db.EnableTimeline(true)
-	db.EnableTraceEvents(true)
-	db.EnableFlightRecorder(0)
+	db.Observe(true)
 	return db.ServeMetrics(addr)
 }
 

@@ -67,8 +67,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer srv.Close()
-		db.EnableTraceEvents(true)
-		db.EnableTimeline(true)
+		db.Observe(true)
 		fmt.Printf("observability: http://%s/metrics, /timeline and /debug/pprof/ (SHOW TIMELINE works too)\n", addr)
 	}
 	if *demo {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/storage"
 )
 
@@ -454,9 +455,9 @@ func TestOpenValidation(t *testing.T) {
 // the path the epoch-based read path takes off the per-table RWMutex.
 // The uncontended arms show reader-reader scaling; the contended arms
 // run one writer goroutine inserting throughout the read phase, the
-// convoy case: under the rwmutex arm (DisableEpochReadPath) every read
-// queues behind every commit's exclusive section, while the epoch arm's
-// hits never touch the lock. The gated version of the contended
+// convoy case: under the rwmutex arm (engine.Config.DisableEpochReadPath)
+// every read queues behind every commit's exclusive section, while the
+// epoch arm's hits never touch the lock. The gated version of the contended
 // comparison — with a synchronous WAL charging the writer real fsync
 // latency — is `aibench -epoch` (BENCH_epoch.json in CI); this
 // benchmark is the quick in-memory view of the same effect.
@@ -467,7 +468,9 @@ func BenchmarkParallelQuery(b *testing.B) {
 		rows      = 1000
 	)
 	build := func(b *testing.B, disableEpoch bool) (*DB, []*Table) {
-		db := MustOpen(Options{Seed: 1, PoolPages: 4096, DisableEpochReadPath: disableEpoch})
+		cfg := engineConfig(Options{Seed: 1, PoolPages: 4096})
+		cfg.DisableEpochReadPath = disableEpoch
+		db := newDB(engine.New(cfg))
 		var tabs []*Table
 		for i := 0; i < numTables; i++ {
 			tb, err := db.CreateTable(fmt.Sprintf("t%d", i), Int64Column("k"), StringColumn("pad"))

@@ -77,7 +77,7 @@ func TestDurabilityRoundTrip(t *testing.T) {
 		t.Fatalf("updated row airport = %q, want SFO", ap)
 	}
 
-	db2.EnableTimeline(true)
+	db2.Observe(true)
 	if rs.QueryTail == 0 {
 		t.Fatalf("no query tail recovered: %+v", rs)
 	}

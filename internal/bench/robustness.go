@@ -202,13 +202,12 @@ func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (Robust
 		return RobustnessArmResult{}, err
 	}
 	defer eng.Close()
-	eng.Timeline().Enable(true)
+	eng.Observe(true)
 
 	// Displacement feedback for reactive scenarios: the tracer's span
 	// sink runs on the emitting goroutine with the Space lock held, so
 	// it only bumps atomic counters (per the trace package contract).
 	displaced := make([]atomic.Uint64, spec.columns)
-	eng.Tracer().EnableSpans(true)
 	eng.Tracer().SetSpanSink(func(sp trace.Span) {
 		if sp.Kind != trace.SpanDisplace {
 			return

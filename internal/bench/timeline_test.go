@@ -8,14 +8,14 @@ import (
 
 // TestFig6ConvergenceTimeline runs the paper's experiment-1 workload
 // (uncovered uniform draws, unlimited space — the Fig. 5/6 setting) with
-// the adaptation timeline enabled and checks the convergence detector
+// observation on and checks the convergence detector
 // reports what the figure shows: coverage reaches the 95% target within
 // the run, monotonically, with no regression.
 func TestFig6ConvergenceTimeline(t *testing.T) {
 	var captured *engine.Engine
 	SetEngineObserver(func(e *engine.Engine) {
 		captured = e
-		e.Timeline().Enable(true)
+		e.Observe(true)
 	})
 	defer SetEngineObserver(nil)
 

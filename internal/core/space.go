@@ -42,7 +42,7 @@ type Space struct {
 	buffers map[string]*IndexBuffer
 	order   []string // creation order, for deterministic iteration
 	stats   SpaceStats
-	obs     Observer // optional management-event sink; may be nil
+	obs     Observer // optional buffer-reset sink; may be nil
 
 	tenants     map[string]*Tenant
 	tenantOrder []string
@@ -62,9 +62,9 @@ type Observer interface {
 	SpaceEvent(kind, buffer string, page, n int)
 }
 
-// SetObserver attaches the management-event sink (nil detaches). The
-// engine points it at the tracer's span ring; emission is gated there,
-// so an attached observer costs one interface call per indexing scan.
+// SetObserver attaches the Space-wide sink for "buffer-reset" (nil
+// detaches), the one management event that happens outside any query.
+// Page selection reports to the observer each call is given instead.
 func (s *Space) SetObserver(o Observer) {
 	s.mu.Lock()
 	s.obs = o
@@ -270,13 +270,13 @@ func (s *Space) SelectPagesForBuffer(target *IndexBuffer, numPages int) []storag
 	return s.SelectPagesForBufferObserved(target, numPages, nil)
 }
 
-// SelectPagesForBufferObserved is SelectPagesForBuffer with a per-call
-// observer: perQuery (when non-nil) receives this selection's
-// management events — "displace" and "page-select" — in addition to the
-// Space-wide observer, so the caller can attribute them to the query
-// whose indexing scan triggered the selection. perQuery runs with
-// Space.mu held and must honor the Observer contract.
-func (s *Space) SelectPagesForBufferObserved(target *IndexBuffer, numPages int, perQuery Observer) []storage.PageID {
+// SelectPagesForBufferObserved is SelectPagesForBuffer reporting to obs
+// (when non-nil) this selection's management events — each "displace"
+// (buffer = the victim's owner) and the final "page-select" — so the
+// caller can attribute them to the query whose indexing scan triggered
+// the selection. obs runs with Space.mu held and must honor the
+// Observer contract.
+func (s *Space) SelectPagesForBufferObserved(target *IndexBuffer, numPages int, obs Observer) []storage.PageID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -413,11 +413,8 @@ func (s *Space) SelectPagesForBufferObserved(target *IndexBuffer, numPages int, 
 			}
 		}
 		v.owner.dropPartition(v.part)
-		if s.obs != nil {
-			s.obs.SpaceEvent("displace", v.owner.name, -1, v.entries)
-		}
-		if perQuery != nil {
-			perQuery.SpaceEvent("displace", v.owner.name, -1, v.entries)
+		if obs != nil {
+			obs.SpaceEvent("displace", v.owner.name, -1, v.entries)
 		}
 	}
 
@@ -427,11 +424,8 @@ func (s *Space) SelectPagesForBufferObserved(target *IndexBuffer, numPages int, 
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	s.stats.PagesSelected += uint64(len(out))
-	if s.obs != nil {
-		s.obs.SpaceEvent("page-select", target.name, -1, len(out))
-	}
-	if perQuery != nil {
-		perQuery.SpaceEvent("page-select", target.name, -1, len(out))
+	if obs != nil {
+		obs.SpaceEvent("page-select", target.name, -1, len(out))
 	}
 	return out
 }

@@ -201,13 +201,14 @@ func (r *recordingObserver) SpaceEvent(kind, buffer string, page, n int) {
 
 // TestObserverSeesSelectionAndDisplacement reuses the displacement
 // scenario of TestDisplacementPrefersLowBenefitBuffer and asserts the
-// attached observer sees the Algorithm-2 decision: one displace event
-// per dropped victim (attributed to the victim's owner) and a final
-// page-select for the target.
+// observer the selection is given sees the Algorithm-2 decision exactly
+// once: one displace event per dropped victim (attributed to the
+// victim's owner) and a final page-select for the target. The
+// Space-wide observer sees only buffer-reset.
 func TestObserverSeesSelectionAndDisplacement(t *testing.T) {
 	s := NewSpace(Config{IMax: 100, P: 2, K: 2, SpaceLimit: 8, Rand: rand.New(rand.NewSource(42))})
-	obs := &recordingObserver{}
-	s.SetObserver(obs)
+	obs, spaceWide := &recordingObserver{}, &recordingObserver{}
+	s.SetObserver(spaceWide)
 	cold, _ := s.CreateBuffer("t.cold", []int{2, 2})
 	hot, _ := s.CreateBuffer("t.hot", []int{2, 2})
 	target, _ := s.CreateBuffer("t.new", []int{2, 2})
@@ -218,9 +219,7 @@ func TestObserverSeesSelectionAndDisplacement(t *testing.T) {
 	}
 	s.OnQuery(target, false)
 	s.OnQuery(target, false)
-	obs.events = nil // only observe the displacing selection
-
-	got := s.SelectPagesForBuffer(target, 2)
+	got := s.SelectPagesForBufferObserved(target, 2, obs)
 	var displaced, selected int
 	for _, e := range obs.events {
 		switch e.kind {
@@ -246,6 +245,13 @@ func TestObserverSeesSelectionAndDisplacement(t *testing.T) {
 	}
 	if selected != 1 {
 		t.Errorf("page-select events = %d, want 1", selected)
+	}
+	if len(spaceWide.events) != 0 {
+		t.Errorf("Space-wide observer saw selection events: %+v", spaceWide.events)
+	}
+	s.DropBuffer("t.new")
+	if len(spaceWide.events) != 1 || spaceWide.events[0].kind != "buffer-reset" || spaceWide.events[0].buffer != "t.new" {
+		t.Errorf("Space-wide events after DropBuffer = %+v, want one buffer-reset of t.new", spaceWide.events)
 	}
 }
 

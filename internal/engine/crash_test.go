@@ -505,7 +505,7 @@ func TestRewarmRegistersConvergenceEpisode(t *testing.T) {
 		t.Fatalf("QueryTail = %d, want >= 12", got)
 	}
 
-	recovered.Timeline().Enable(true)
+	recovered.Observe(true)
 	n, err := recovered.Rewarm(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -87,15 +87,6 @@ type Config struct {
 	ReadLatency  time.Duration
 	WriteLatency time.Duration
 
-	// TimelineCapacity bounds each adaptation-timeline series' sample
-	// ring. Zero means timeline.DefaultCapacity.
-	TimelineCapacity int
-
-	// ConvergenceTarget is the coverage fraction the timeline's
-	// convergence detector watches for (queries-to-target). Zero means
-	// timeline.DefaultTarget (0.95).
-	ConvergenceTarget float64
-
 	// WAL configures crash-consistent durability for DataDir-backed
 	// engines; see WALConfig. Ignored without a DataDir.
 	WAL WALConfig
@@ -124,6 +115,10 @@ type Engine struct {
 	timeline *timeline.Recorder
 	flight   *flight.Recorder
 	started  time.Time
+
+	// observing is the one observability gate: span events, timeline
+	// sampling and flight records all happen only while it is on.
+	observing atomic.Bool
 
 	// Epoch-based read path (readpath.go): the reclamation domain every
 	// retired snapshot goes through, and the fast-path counters.
@@ -229,7 +224,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		space:    core.NewSpace(cfg.Space),
 		tables:   make(map[string]*Table),
 		tracer:   trace.New(traceCapacity),
-		timeline: timeline.New(cfg.TimelineCapacity, cfg.ConvergenceTarget),
+		timeline: timeline.New(timeline.DefaultCapacity, timeline.DefaultTarget),
 		flight:   flight.NewRecorder(flightRecentCap, flightSlowCap),
 		started:  time.Now(),
 		epochs:   epoch.NewDomain(),
@@ -237,11 +232,9 @@ func newEngine(cfg Config) (*Engine, error) {
 	// Retired counter snapshots flow through the engine's epoch domain,
 	// reclaimed only once every pinned reader has moved on.
 	e.space.SetEpochDomain(e.epochs)
-	// Route the Space's management events (Algorithm-2 page selection,
-	// displacement) into the tracer's span ring and the adaptation
-	// timeline; both consumers gate on their own atomic enable flag, so
-	// the attached observer is free while recording is off.
-	e.space.SetObserver(spaceSpans{tr: e.tracer, tl: e.timeline})
+	// Buffer resets happen outside any query; they reach emit through a
+	// statement-less observer.
+	e.space.SetObserver(stmtObserver{e: e})
 	for _, tn := range cfg.Tenants {
 		if _, err := e.createTenant(tn.Name, tn.Quota, tn.Strict); err != nil {
 			return nil, err
@@ -250,68 +243,96 @@ func newEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// spaceSpans fans core.Observer events out to the tracer's span ring
-// and the adaptation-timeline recorder. Both sides honor the Observer
-// contract: they only touch their own internally synchronized state
-// (the timeline merely bumps churn counters and marks the buffer dirty
-// for resampling at the next query boundary), never the Space or a
-// buffer — the callback runs with Space.mu held.
-type spaceSpans struct {
-	tr *trace.Tracer
-	tl *timeline.Recorder
+// Observe turns observation on or off: span events in the tracer's
+// ring, adaptation-timeline sampling and per-statement flight records.
+// Off (the default) costs one atomic load per gated site and allocates
+// nothing; retained spans, samples and records stay readable.
+func (e *Engine) Observe(on bool) { e.observing.Store(on) }
+
+// Observing reports whether observation is on.
+func (e *Engine) Observing() bool { return e.observing.Load() }
+
+// emit records one adaptive event — miss admission, scan batching,
+// Algorithm-2 page selection, displacement, C[p]→0, buffer reset — once
+// in every consumer: the tracer's span ring (stamped with the
+// statement's trace ID), the adaptation timeline and the statement's
+// flight record (fa may be nil). A no-op while observation is off. It
+// touches only leaf-locked state, so it is safe under Space.mu.
+func (e *Engine) emit(fa *flight.Active, kind, buffer string, page, n int) {
+	if !e.observing.Load() {
+		return
+	}
+	e.tracer.Span(kind, buffer, page, n, fa.Trace())
+	e.timeline.NoteEvent(kind, buffer, page, n)
+	fa.Span(kind, buffer, page, n)
 }
 
-func (s spaceSpans) SpaceEvent(kind, buffer string, page, n int) {
-	s.tr.Span(kind, buffer, page, n)
-	s.tl.NoteEvent(kind, buffer, page, n)
+// stmtObserver is the core.Observer that routes events to emit on
+// behalf of one statement (fa, nil outside statements). Events naming
+// no buffer — exec's scan-parallel and page-complete, the admission
+// layer's spans — belong to the queried column's buffer.
+type stmtObserver struct {
+	e      *Engine
+	fa     *flight.Active
+	column string
+}
+
+func (o stmtObserver) SpaceEvent(kind, buffer string, page, n int) {
+	if buffer == "" {
+		buffer = o.column
+	}
+	o.e.emit(o.fa, kind, buffer, page, n)
+}
+
+// observer returns the statement's event observer for column, or nil
+// while observation is off (one atomic load, no allocation).
+func (t *Table) observer(ctx context.Context, column int) core.Observer {
+	if !t.engine.observing.Load() {
+		return nil
+	}
+	return stmtObserver{e: t.engine, fa: flight.FromContext(ctx), column: t.bufferName(column)}
 }
 
 // Tracer exposes the engine's query monitor.
 func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
-// Flight exposes the engine's per-statement flight recorder. Recording
-// is off by default and costs one atomic load per gated site while off.
+// Flight exposes the engine's per-statement flight recorder; statements
+// are recorded while the engine is observing.
 func (e *Engine) Flight() *flight.Recorder { return e.flight }
 
+// FlightStats reads the flight recorder's counters, Enabled reporting
+// the observation gate.
+func (e *Engine) FlightStats() flight.Stats {
+	s := e.flight.Stats()
+	s.Enabled = e.Observing()
+	return s
+}
+
 // flightActive resolves the calling statement's in-progress flight
-// record: nil while the recorder is disabled (one atomic load — the
-// 0-alloc contract) or when the context carries no statement.
+// record: nil while observation is off (one atomic load — the 0-alloc
+// contract) or when the context carries no statement.
 func (e *Engine) flightActive(ctx context.Context) *flight.Active {
-	if !e.flight.Enabled() {
+	if !e.observing.Load() {
 		return nil
 	}
 	return flight.FromContext(ctx)
 }
 
-// flightSpans adapts an in-progress flight record to core.Observer, so
-// Algorithm-2 page selection can attribute its management events
-// (displace, page-select) to the statement that triggered them. The
-// Active only touches its own leaf mutex, honoring the Observer
-// contract (called with Space.mu held).
-type flightSpans struct{ a *flight.Active }
-
-func (f flightSpans) SpaceEvent(kind, buffer string, page, n int) {
-	f.a.Span(kind, buffer, page, n)
-}
-
-// Timeline exposes the engine's adaptation-timeline recorder. Enable it
-// with Timeline().Enable(true); sampling is off by default and costs
-// one atomic load per query while off.
+// Timeline exposes the engine's adaptation-timeline recorder; it
+// samples while the engine is observing.
 func (e *Engine) Timeline() *timeline.Recorder { return e.timeline }
 
 // Convergence returns the timeline's convergence verdicts — queries to
-// the configured coverage target per (table, column), regression flags
-// — sorted by buffer name. Empty until the timeline is enabled and
-// queries run.
+// the coverage target per (table, column), regression flags — sorted by
+// buffer name. Empty until queries run while observing.
 func (e *Engine) Convergence() []timeline.Convergence {
 	return e.timeline.Convergence()
 }
 
-// SetTelemetrySink streams structured telemetry — every trace span and
-// every timeline sample — to s as JSONL, enabling span recording and
-// timeline sampling as a side effect. A nil s detaches the sink and
-// leaves recording on (turn it off via Tracer().EnableSpans and
-// Timeline().Enable if desired).
+// SetTelemetrySink streams structured telemetry — every trace span,
+// timeline sample and completed flight record — to s as JSONL, turning
+// observation on. A nil s detaches the sink and leaves observation on
+// (Observe(false) turns it off).
 func (e *Engine) SetTelemetrySink(s *timeline.Sink) {
 	if s == nil {
 		e.tracer.SetSpanSink(nil)
@@ -323,11 +344,8 @@ func (e *Engine) SetTelemetrySink(s *timeline.Sink) {
 	e.tracer.SetSpanSink(func(sp trace.Span) {
 		s.WriteSpan(timeline.SpanRecord{Seq: sp.Seq, Kind: sp.Kind, Target: sp.Target, Page: sp.Page, N: sp.N, Trace: sp.Trace})
 	})
-	// Completed flight records ride the same stream (the recorder still
-	// gates: nothing completes while it is disabled).
 	e.flight.SetSink(func(r flight.Record) { s.WriteFlight(r) })
-	e.tracer.EnableSpans(true)
-	e.timeline.Enable(true)
+	e.Observe(true)
 }
 
 // Space exposes the Index Buffer Space for inspection (entry counts,
@@ -899,7 +917,7 @@ func (t *Table) queryRangeCtx(ctx context.Context, column int, lo, hi storage.Va
 	}
 
 	t.mu.RLock()
-	a, err := t.accessLocked(ctx, column)
+	a, err := t.accessLocked(column, t.observer(ctx, column))
 	if err != nil {
 		t.mu.RUnlock()
 		return nil, exec.QueryStats{}, err
@@ -935,108 +953,53 @@ func (t *Table) runRange(ctx context.Context, a exec.Access, column int, lo, hi 
 func (t *Table) ExplainRange(column int, lo, hi storage.Value) (exec.Plan, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	a, err := t.accessLocked(context.Background(), column)
+	a, err := t.accessLocked(column, nil)
 	if err != nil {
 		return exec.Plan{}, err
 	}
 	return exec.ExplainRange(a, lo, hi), nil
 }
 
-func (t *Table) accessLocked(ctx context.Context, column int) (exec.Access, error) {
+// accessLocked builds the column's access path; obs receives the scan's
+// adaptive events (nil while observation is off, or for a plan only).
+func (t *Table) accessLocked(column int, obs core.Observer) (exec.Access, error) {
 	if err := t.checkColumn(column); err != nil {
 		return exec.Access{}, err
 	}
-	a := exec.Access{
+	return exec.Access{
 		Table:       t.heap,
 		Column:      column,
 		Index:       t.indexes[column],
 		Buffer:      t.buffers[column],
 		Space:       t.engine.space,
 		Parallelism: t.engine.cfg.ScanParallelism,
-	}
-	// The span callback (and the buffer-name string it captures) is built
-	// only while a consumer is on — the tracer's span ring, the
-	// adaptation timeline, or the statement's flight record — so with all
-	// disabled the access path costs three atomic loads and zero
-	// allocations. Inside the callback each consumer re-checks its own
-	// gate; flight-record calls are nil-receiver no-ops.
-	tr, tl := t.engine.tracer, t.engine.timeline
-	fa := t.engine.flightActive(ctx)
-	if tr.SpansEnabled() || tl.Enabled() || fa != nil {
-		target := t.bufferName(column)
-		traceID := fa.Trace()
-		a.Span = func(kind string, page, n int) {
-			tr.SpanTraced(kind, target, page, n, traceID)
-			tl.NoteEvent(kind, target, page, n)
-			fa.Span(kind, target, page, n)
-		}
-		if fa != nil {
-			// Algorithm-2 page selection attributes its displace /
-			// page-select events to this statement (exec threads the
-			// observer through core.Space per selection call).
-			a.SpaceObs = flightSpans{fa}
-		}
-	}
-	return a, nil
+		Observer:    obs,
+	}, nil
 }
 
 // observe reports one successful query's outcome to every per-query
-// observer: the parallel-scan counters, the tracer, the adaptation
-// timeline and the statement's flight record. The fast-hit, locked and
-// shared paths all call it once per query, on the query's own goroutine
-// (the flight record belongs to that goroutine's statement). follower
-// marks a query that rode along on another's shared scan: its wall time
-// is spent waiting on the leader, so the tracer and the timeline file
-// it under a mechanism of its own to keep the scan histograms honest.
+// observer: the parallel-scan counters, the tracer and — while the
+// engine is observing — the adaptation timeline and the statement's
+// flight record, all under one mechanism name (trace.Mechanism). The
+// fast-hit, locked and shared paths all call it once per query, on the
+// query's own goroutine (the flight record belongs to that goroutine's
+// statement). follower marks a query that rode along on another's
+// shared scan.
 //
 // The timeline resolves the column's buffer from the published
 // readState, which is safe with no table lock held; the timeline
 // recorder's lock is a strict leaf and dirty buffers are resolved
 // through the Space (Space.mu is below Table.mu in the documented
-// order). Timeline and flight recorder each gate on one atomic load, so
-// the disabled paths allocate nothing.
+// order).
 func (t *Table) observe(ctx context.Context, column int, stats exec.QueryStats, follower bool) {
 	e := t.engine
 	e.noteScanWorkers(stats)
 	col := t.schema.Column(column).Name
-	if follower {
-		e.tracer.RecordFollower(t.name, col, stats)
-	} else {
-		e.tracer.Record(t.name, col, stats)
-	}
-	if tl := e.timeline; tl.Enabled() {
-		var mech timeline.Mechanism
-		switch {
-		case stats.PartialHit:
-			mech = timeline.MechHit
-		case follower:
-			mech = timeline.MechFollower
-		case stats.FullScan, stats.QuotaDegraded:
-			// A quota-degraded pass is a non-indexing scan: for the
-			// timeline's mechanism mix it counts with the full scans, since
-			// it adapts nothing (the tenant's degraded counter tracks it
-			// separately).
-			mech = timeline.MechFullScan
-		default:
-			mech = timeline.MechIndexingScan
-		}
-		tl.ObserveQuery(t.name, col, mech, t.read.Load().buffers[column], e.space.Buffer)
-	}
-	if fa := e.flightActive(ctx); fa != nil {
-		mech := flight.Mechanism(stats.PartialHit, follower, stats.FullScan, stats.QuotaDegraded)
-		fa.Query(t.name, col, mech, stats.Matches, stats.PagesRead, stats.PagesSkipped, stats.QuotaDegraded)
-	}
-}
-
-// noteSpan emits one admission-layer span to the global stream (stamped
-// with the statement's trace ID) and to the statement's flight record.
-// The target name is built only when a consumer is on.
-func (t *Table) noteSpan(fa *flight.Active, kind string, column, page, n int) {
-	tr := t.engine.tracer
-	if !tr.SpansEnabled() && fa == nil {
+	mech := trace.Mechanism(stats, follower)
+	e.tracer.Record(t.name, col, mech, stats)
+	if !e.observing.Load() {
 		return
 	}
-	target := t.bufferName(column)
-	tr.SpanTraced(kind, target, page, n, fa.Trace())
-	fa.Span(kind, target, page, n)
+	e.timeline.ObserveQuery(t.name, col, mech, t.read.Load().buffers[column], e.space.Buffer)
+	flight.FromContext(ctx).Query(t.name, col, mech, stats.Matches, stats.PagesRead, stats.PagesSkipped, stats.QuotaDegraded)
 }

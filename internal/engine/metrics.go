@@ -235,31 +235,24 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	// Span machinery state.
 	m.head("aib_trace_spans_total", "Span events emitted since the engine started (survives Reset).", "counter")
 	m.printf("aib_trace_spans_total %d\n", e.tracer.SpanCount())
-	m.head("aib_trace_spans_enabled", "Whether span recording is currently on.", "gauge")
-	enabled := 0
-	if e.tracer.SpansEnabled() {
-		enabled = 1
+	// The three *_enabled gauges all report the one observation gate.
+	on := 0
+	if e.Observing() {
+		on = 1
 	}
-	m.printf("aib_trace_spans_enabled %d\n", enabled)
+	m.head("aib_trace_spans_enabled", "Whether span recording is currently on.", "gauge")
+	m.printf("aib_trace_spans_enabled %d\n", on)
 
 	// Timeline machinery state.
 	m.head("aib_timeline_samples_total", "Timeline samples taken since the engine started (survives ring eviction and Reset).", "counter")
 	m.printf("aib_timeline_samples_total %d\n", e.timeline.SampleCount())
 	m.head("aib_timeline_enabled", "Whether adaptation-timeline sampling is currently on.", "gauge")
-	tlOn := 0
-	if e.timeline.Enabled() {
-		tlOn = 1
-	}
-	m.printf("aib_timeline_enabled %d\n", tlOn)
+	m.printf("aib_timeline_enabled %d\n", on)
 
 	// Flight recorder state.
 	fs := e.flight.Stats()
 	m.head("aib_flight_enabled", "Whether the per-statement flight recorder is currently on.", "gauge")
-	frOn := 0
-	if fs.Enabled {
-		frOn = 1
-	}
-	m.printf("aib_flight_enabled %d\n", frOn)
+	m.printf("aib_flight_enabled %d\n", on)
 	m.head("aib_flight_completed_total", "Statements the flight recorder completed a record for.", "counter")
 	m.printf("aib_flight_completed_total %d\n", fs.Completed)
 	m.head("aib_flight_slow_total", "Statements captured by the slow-query ring.", "counter")

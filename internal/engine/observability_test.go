@@ -5,7 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/trace"
 )
@@ -23,6 +25,74 @@ func runMixedQueries(t *testing.T, tb *Table) {
 		if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(k), iv(k)); err != nil { // miss: indexing scan
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestObserveGateInert pins the overhead contract of the one
+// observation gate. It is off by default. While it is off, every gated
+// point — emit, the statement observer, flightActive and observe's
+// timeline and flight tail — allocates nothing, and hits and indexing
+// scans leave no span, timeline sample, convergence verdict or
+// flight-record detail behind, even for a statement whose flight record
+// is open.
+func TestObserveGateInert(t *testing.T) {
+	e, tb := newABC(t, Config{}, 500, 50)
+	if err := tb.CreatePartialIndex(0, index.IntRange(1, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if e.Observing() {
+		t.Fatal("observation on by default")
+	}
+	act, ctx := e.Flight().Begin(context.Background(), "default", "SELECT")
+	for k := int64(1); k <= 30; k++ { // 1..20 hit, 21..30 miss into indexing scans
+		if _, _, err := tb.QueryRangeCtx(ctx, 0, iv(k), iv(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	gated := map[string]func(){
+		"emit": func() { e.emit(act, trace.SpanPageSelect, "flights.a", -1, 12) },
+		"observer": func() {
+			if tb.observer(ctx, 0) != nil {
+				t.Fatal("statement observer built while off")
+			}
+		},
+		"flightActive": func() {
+			fa := e.flightActive(ctx)
+			fa.Span(trace.SpanPageSelect, "flights.a", 1, 2)
+			fa.Query("flights", "a", trace.MechHit, 1, 1, 0, false)
+			fa.WAL(time.Millisecond, 1)
+			_ = fa.Trace()
+		},
+	}
+	for name, fn := range gated {
+		if avg := testing.AllocsPerRun(200, fn); avg != 0 {
+			t.Errorf("%s allocates %v per call while off, want 0", name, avg)
+		}
+	}
+	// observe's gated tail adds nothing to the always-on tracer record.
+	hit := exec.QueryStats{PartialHit: true, PagesRead: 1, Matches: 1}
+	record := testing.AllocsPerRun(200, func() { e.tracer.Record("flights", "a", trace.MechHit, hit) })
+	observe := testing.AllocsPerRun(200, func() { tb.observe(ctx, 0, hit, false) })
+	if observe != record {
+		t.Errorf("observe allocates %v per call while off, the tracer record alone %v", observe, record)
+	}
+
+	if n, c := len(e.Tracer().Spans(1<<20)), e.Tracer().SpanCount(); n != 0 || c != 0 {
+		t.Errorf("%d spans retained, SpanCount %d while off", n, c)
+	}
+	if n := e.Timeline().SampleCount(); n != 0 || len(e.Timeline().Series()) != 0 {
+		t.Errorf("timeline took %d samples while off", n)
+	}
+	if len(e.Convergence()) != 0 {
+		t.Error("timeline produced convergence verdicts while off")
+	}
+	e.Flight().Complete(act, nil)
+	if rec := e.Flight().Recent(1)[0]; len(rec.Spans) != 0 || rec.Mechanism != "" || rec.PagesRead != 0 {
+		t.Errorf("open flight record filled while off: %+v", rec)
+	}
+	if st := e.FlightStats(); st.Enabled {
+		t.Errorf("FlightStats reports enabled while off: %+v", st)
 	}
 }
 
@@ -72,7 +142,7 @@ func TestSpansThroughEngine(t *testing.T) {
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 50)); err != nil {
 		t.Fatal(err)
 	}
-	e.Tracer().EnableSpans(true)
+	e.Observe(true)
 	runMixedQueries(t, tb)
 
 	kinds := make(map[string]int)
@@ -142,14 +212,14 @@ func TestSharedScanRecordsFollowers(t *testing.T) {
 
 // TestTracerStressWithQueries races real queries against every tracer
 // and metrics reader under -race: Recent, Aggregates, LatencyStats,
-// Spans, Reset, EnableSpans and WriteMetrics all run while indexing
+// Spans, Reset and WriteMetrics all run while indexing
 // scans mutate the buffers and record events.
 func TestTracerStressWithQueries(t *testing.T) {
 	e, tb := newABC(t, Config{}, 2000, 200)
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 20)); err != nil {
 		t.Fatal(err)
 	}
-	e.Tracer().EnableSpans(true)
+	e.Observe(true)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

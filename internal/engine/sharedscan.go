@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -93,14 +94,14 @@ func (s *scanAdmission) seal(column int, b *scanBatch) []*attachedQuery {
 func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
 	counters := &t.engine.sharedScans
 	counters.Misses.Add(1)
-	fa := t.engine.flightActive(ctx)
-	t.noteSpan(fa, trace.SpanMissAdmit, column, -1, 0)
+	obs := t.observer(ctx, column)
+	admissionSpan(obs, trace.SpanMissAdmit, 0)
 
 	q := &attachedQuery{ctx: ctx, lo: lo, hi: hi}
 	batch, leader := t.scans.attach(column, q)
 	if !leader {
 		counters.Attached.Add(1)
-		t.noteSpan(fa, trace.SpanScanAttach, column, -1, 0)
+		admissionSpan(obs, trace.SpanScanAttach, 0)
 		select {
 		case <-batch.done:
 			if q.err == nil {
@@ -122,14 +123,14 @@ func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Valu
 	// redefinition may have slipped in between planning and execution.
 	// ExecuteShared re-dispatches per query on the state it finds, so
 	// attached predicates the new index covers are served as hits.
-	a, err := t.accessLocked(ctx, column)
+	a, err := t.accessLocked(column, obs)
 	if err != nil {
 		for _, aq := range attached {
 			aq.err = err
 		}
 	} else {
 		counters.Scans.Add(1)
-		t.noteSpan(fa, trace.SpanScanLead, column, -1, len(attached))
+		admissionSpan(obs, trace.SpanScanLead, len(attached))
 		t.runShared(a, attached)
 	}
 	t.mu.Unlock()
@@ -138,6 +139,14 @@ func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Valu
 		t.observe(ctx, column, q.stats, false)
 	}
 	return q.out, q.stats, q.err
+}
+
+// admissionSpan reports one admission-layer event for the queried
+// column to obs, a no-op while observation is off (obs nil).
+func admissionSpan(obs core.Observer, kind string, n int) {
+	if obs != nil {
+		obs.SpaceEvent(kind, "", -1, n)
+	}
 }
 
 // runShared executes one shared pass for the sealed batch and publishes

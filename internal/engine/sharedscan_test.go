@@ -79,7 +79,7 @@ func TestSharedScanCoalescesConcurrentMisses(t *testing.T) {
 	// The leader's duty: seal, run one shared pass, publish.
 	tb.mu.Lock()
 	attached := tb.scans.seal(0, batch)
-	a, err := tb.accessLocked(context.Background(), 0)
+	a, err := tb.accessLocked(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSharedScanFollowerCancellation(t *testing.T) {
 	// The batch still runs for its remaining queries.
 	tb.mu.Lock()
 	attached := tb.scans.seal(0, batch)
-	a, err := tb.accessLocked(context.Background(), 0)
+	a, err := tb.accessLocked(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestTimelineThroughEngine(t *testing.T) {
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 50)); err != nil {
 		t.Fatal(err)
 	}
-	e.Timeline().Enable(true)
+	e.Observe(true)
 	runMixedQueries(t, tb)
 
 	all := e.Timeline().Series()
@@ -69,26 +69,6 @@ func TestTimelineThroughEngine(t *testing.T) {
 	}
 }
 
-// TestTimelineDisabledByDefaultInEngine pins the opt-in contract: a
-// fresh engine answers queries without taking a single sample.
-func TestTimelineDisabledByDefaultInEngine(t *testing.T) {
-	e, tb := newABC(t, Config{}, 500, 50)
-	if err := tb.CreatePartialIndex(0, index.IntRange(1, 20)); err != nil {
-		t.Fatal(err)
-	}
-	for k := int64(1); k <= 30; k++ {
-		if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(k), iv(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := e.Timeline().SampleCount(); n != 0 {
-		t.Errorf("disabled timeline took %d samples", n)
-	}
-	if len(e.Convergence()) != 0 {
-		t.Error("disabled timeline produced convergence verdicts")
-	}
-}
-
 // TestTimelineDisplacementResample forces displacement with a tight
 // space limit across two indexed columns and checks that the victim
 // buffer's churn reaches its series — including the event-driven
@@ -104,7 +84,7 @@ func TestTimelineDisplacementResample(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Timeline().Enable(true)
+	e.Observe(true)
 
 	// Alternate misses on both columns so each column's scans displace
 	// the other's partitions once the 400-entry limit binds.
@@ -150,7 +130,7 @@ func TestTimelineShiftingWorkloadReset(t *testing.T) {
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 30)); err != nil {
 		t.Fatal(err)
 	}
-	e.Timeline().Enable(true)
+	e.Observe(true)
 
 	// Phase 1: misses in [31, 60]; the default I^MAX covers the whole
 	// table, so the first indexing scan converges the buffer.
@@ -199,12 +179,33 @@ func TestTimelineShiftingWorkloadReset(t *testing.T) {
 
 // TestMetricsTimelineFamilies checks the new exposition families are
 // present and coherent once the timeline has data.
+// TestTimelineDisabledByDefaultInEngine pins that an engine left at its
+// defaults adapts without sampling: hits and indexing scans leave no
+// timeline sample and no convergence verdict.
+func TestTimelineDisabledByDefaultInEngine(t *testing.T) {
+	e, tb := newABC(t, Config{}, 500, 50)
+	if err := tb.CreatePartialIndex(0, index.IntRange(1, 20)); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= 30; k++ {
+		if _, _, err := tb.QueryRangeCtx(context.Background(), 0, iv(k), iv(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := e.Timeline().SampleCount(); n != 0 {
+		t.Errorf("disabled timeline took %d samples", n)
+	}
+	if len(e.Convergence()) != 0 {
+		t.Error("disabled timeline produced convergence verdicts")
+	}
+}
+
 func TestMetricsTimelineFamilies(t *testing.T) {
 	e, tb := newABC(t, Config{}, 2000, 100)
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 50)); err != nil {
 		t.Fatal(err)
 	}
-	e.Timeline().Enable(true)
+	e.Observe(true)
 	runMixedQueries(t, tb)
 
 	var sb strings.Builder
@@ -363,8 +364,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if err := nasty.CreatePartialIndex(1, index.IntRange(1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	e.Tracer().EnableSpans(true)
-	e.Timeline().Enable(true)
+	e.Observe(true)
 	runMixedQueries(t, tb)
 	if _, _, err := nasty.QueryRangeCtx(context.Background(), 1, iv(5), iv(5)); err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestTelemetrySinkThroughEngine(t *testing.T) {
 	var out bytes.Buffer
 	sink := timeline.NewSink(&out)
 	e.SetTelemetrySink(sink)
-	if !e.Tracer().SpansEnabled() || !e.Timeline().Enabled() {
+	if !e.Observing() {
 		t.Fatal("SetTelemetrySink did not enable recording")
 	}
 	runMixedQueries(t, tb)
@@ -434,7 +434,7 @@ func TestTelemetrySinkThroughEngine(t *testing.T) {
 	if sink.Stats().Lines != lines {
 		t.Error("sink still receiving after detach")
 	}
-	if !e.Timeline().Enabled() {
+	if !e.Observing() {
 		t.Error("detach disabled the timeline")
 	}
 }

@@ -435,7 +435,7 @@ type rewarmQuery struct {
 // their pre-crash state without waiting for live traffic. Each
 // affected buffer gets one "buffer-reset" event first, so the restart
 // registers as a fresh convergence episode on the adaptation timeline
-// (enable the timeline before calling Rewarm to record it).
+// (turn observation on before calling Rewarm to record it).
 //
 // The tail is consumed: a second call replays nothing. Returns the
 // number of queries replayed; unknown tables or columns in the tail
@@ -449,7 +449,6 @@ func (e *Engine) Rewarm(ctx context.Context) (int, error) {
 	e.rewarm = nil
 	e.rewarmMu.Unlock()
 
-	obs := spaceSpans{tr: e.tracer, tl: e.timeline}
 	reset := make(map[string]bool)
 	n := 0
 	for _, q := range tail {
@@ -465,7 +464,7 @@ func (e *Engine) Rewarm(ctx context.Context) (int, error) {
 		}
 		if name := t.bufferName(q.column); t.Buffer(q.column) != nil && !reset[name] {
 			reset[name] = true
-			obs.SpaceEvent("buffer-reset", name, -1, 0)
+			e.emit(nil, "buffer-reset", name, -1, 0)
 		}
 		if _, _, err := t.QueryRangeCtx(ctx, q.column, q.lo, q.hi); err != nil {
 			return n, fmt.Errorf("engine: rewarm replay on %s: %w", q.table, err)

@@ -111,21 +111,15 @@ type Access struct {
 	// assume its partitions stay put.
 	ReadOnly bool
 
-	// Span, when non-nil, receives span events from the indexing scan —
-	// currently "scan-parallel" (the scan fanned out, n = workers) and
-	// "page-complete" (page fully buffered, the C[p]→0 transition) with
-	// the page id and the entries added for it. The engine wires it to
-	// the tracer's span ring and the adaptation-timeline recorder only
-	// while at least one of them is enabled, so the nil check is the
-	// entire disabled-path cost.
-	Span func(kind string, page, n int)
-
-	// SpaceObs, when non-nil, is threaded through Algorithm-2 page
-	// selection (Space.SelectPagesForBufferObserved) so the selection's
-	// management events — displace, page-select — are attributed to the
-	// statement that triggered them, in addition to the Space-wide
-	// observer. The engine wires it to the statement's flight record.
-	SpaceObs core.Observer
+	// Observer, when non-nil, receives the scan's adaptive events: the
+	// Algorithm-2 selection's "displace" and "page-select" (threaded
+	// through Space.SelectPagesForBufferObserved), "scan-parallel" (the
+	// scan fanned out, n = workers) and "page-complete" (page fully
+	// buffered, the C[p]→0 transition, with the entries added for it).
+	// The scan's own events name no buffer (""): they belong to the
+	// queried column. The engine sets it only while observing, so the
+	// nil check is the entire off-path cost.
+	Observer core.Observer
 }
 
 // scanWorkers resolves the effective worker count for a scan over

@@ -104,8 +104,8 @@ func newParallelScan(a Access, qs []SharedQuery, states []scanState, scanQ []int
 // first table-level fault, if any. It always waits for every worker to
 // exit before returning — no goroutine outlives the scan.
 func (s *parallelScan) run(workers int) error {
-	if s.a.Span != nil {
-		s.a.Span("scan-parallel", -1, workers)
+	if s.a.Observer != nil {
+		s.a.Observer.SpaceEvent("scan-parallel", "", -1, workers)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -286,8 +286,8 @@ func parallelIndexingPass(a Access, qs []SharedQuery, outs []SharedOutcome, stat
 				return skipped, entriesAdded, true
 			}
 			entriesAdded += len(res.entries)
-			if a.Span != nil {
-				a.Span("page-complete", int(pg), len(res.entries))
+			if a.Observer != nil {
+				a.Observer.SpaceEvent("page-complete", "", int(pg), len(res.entries))
 			}
 		}
 	}

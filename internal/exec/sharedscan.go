@@ -288,7 +288,7 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 			outs[i].Stats.QuotaDegraded = true
 		}
 	} else {
-		selected = a.Space.SelectPagesForBufferObserved(a.Buffer, numPages, a.SpaceObs) // I ← SelectPagesForBuffer()
+		selected = a.Space.SelectPagesForBufferObserved(a.Buffer, numPages, a.Observer) // I ← SelectPagesForBuffer()
 	}
 	inI := make(map[storage.PageID]bool, len(selected))
 	for _, p := range selected {
@@ -437,8 +437,8 @@ func serialIndexingPass(a Access, qs []SharedQuery, outs []SharedOutcome, states
 			// readers only now, with the entry set complete — BeginPage
 			// deliberately does not publish the half-inserted state.
 			a.Buffer.FinishPage(pg)
-			if a.Span != nil {
-				a.Span("page-complete", int(pg), len(added))
+			if a.Observer != nil {
+				a.Observer.SpaceEvent("page-complete", "", int(pg), len(added))
 			}
 		}
 	}

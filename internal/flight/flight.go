@@ -15,11 +15,11 @@
 // safe, so contributors call unconditionally on whatever FromContext
 // returned.
 //
-// Overhead contract (DESIGN.md §16): when the recorder is disabled no
-// Active exists, every contribution site is gated on one atomic load
-// (Recorder.Enabled or the nil Active), and nothing allocates —
-// mirroring the tracer/timeline discipline, enforced by
-// TestFlightDisabledIsInert and BenchmarkTraceOverhead.
+// Overhead contract (DESIGN.md §16): the recorder has no switch of its
+// own. While the engine's one observation gate is off no Active exists,
+// every contribution site is gated on that atomic load (or the nil
+// Active), and nothing allocates — enforced by the engine's
+// TestObserveGateInert and BenchmarkTraceOverhead.
 package flight
 
 import (
@@ -77,23 +77,6 @@ type Record struct {
 
 // Duration returns the statement's wall time.
 func (r Record) Duration() time.Duration { return time.Duration(r.DurationNanos) }
-
-// Mechanism derives the per-query mechanism label from the executor's
-// outcome flags, matching the tracer's vocabulary exactly.
-func Mechanism(partialHit, follower, fullScan, degraded bool) string {
-	switch {
-	case partialHit:
-		return "hit"
-	case follower:
-		return "shared-follower"
-	case fullScan:
-		return "full-scan"
-	case degraded:
-		return "degraded-scan"
-	default:
-		return "indexing-scan"
-	}
-}
 
 // Active is one in-progress statement record. Span contributions may
 // arrive concurrently (parallel scan workers, core observer callbacks
@@ -189,7 +172,8 @@ func FromContext(ctx context.Context) *Active {
 	return a
 }
 
-// Stats is the recorder's counter snapshot for /metrics.
+// Stats is the recorder's counter snapshot for /metrics. Enabled
+// reports the engine's observation gate, which the engine fills in.
 type Stats struct {
 	Enabled   bool          `json:"enabled"`
 	Completed uint64        `json:"completed"`
@@ -199,12 +183,9 @@ type Stats struct {
 
 // Recorder keeps the two bounded rings of completed records: every
 // completion enters the recent ring (eviction by age), and completions
-// at or above the slow threshold additionally enter the slow ring. Both
-// rings survive Reset-free indefinitely under constant memory.
+// at or above DefaultSlowThreshold additionally enter the slow ring.
+// Both rings survive Reset-free indefinitely under constant memory.
 type Recorder struct {
-	on     atomic.Bool
-	slowNS atomic.Int64 // capture threshold; records at/above enter slow ring
-
 	seq       atomic.Uint64
 	completed atomic.Uint64
 	slowSeen  atomic.Uint64
@@ -223,12 +204,12 @@ type Recorder struct {
 	slowSz   int
 }
 
-// DefaultSlowThreshold is the slow-capture cutoff used by Enable when
-// the caller passes 0.
+// DefaultSlowThreshold is the slow-capture cutoff: completed records at
+// or above it also enter the slow ring.
 const DefaultSlowThreshold = 10 * time.Millisecond
 
-// NewRecorder creates a disabled recorder with the given ring
-// capacities (min 1 each).
+// NewRecorder creates a recorder with the given ring capacities (min 1
+// each).
 func NewRecorder(recentCap, slowCap int) *Recorder {
 	if recentCap < 1 {
 		recentCap = 1
@@ -236,33 +217,12 @@ func NewRecorder(recentCap, slowCap int) *Recorder {
 	if slowCap < 1 {
 		slowCap = 1
 	}
-	r := &Recorder{
+	return &Recorder{
 		recent:   make([]Record, recentCap),
 		slow:     make([]Record, slowCap),
 		mintBase: uint64(time.Now().UnixNano()),
 	}
-	r.slowNS.Store(int64(DefaultSlowThreshold))
-	return r
 }
-
-// Enabled reports whether statements are being recorded — the one
-// atomic load every gate performs.
-func (r *Recorder) Enabled() bool { return r != nil && r.on.Load() }
-
-// Enable turns recording on with the given slow-capture threshold
-// (0 keeps the current threshold, initially DefaultSlowThreshold).
-func (r *Recorder) Enable(slowThreshold time.Duration) {
-	if slowThreshold > 0 {
-		r.slowNS.Store(int64(slowThreshold))
-	}
-	r.on.Store(true)
-}
-
-// Disable stops recording. Existing records remain readable.
-func (r *Recorder) Disable() { r.on.Store(false) }
-
-// SlowThreshold returns the current slow-capture cutoff.
-func (r *Recorder) SlowThreshold() time.Duration { return time.Duration(r.slowNS.Load()) }
 
 // SetSink installs a hook invoked (synchronously, outside the ring
 // lock) with every completed record — the JSONL telemetry bridge. Pass
@@ -283,8 +243,8 @@ func (r *Recorder) MintID() string {
 
 // Begin opens an Active for one statement and returns the context the
 // statement must be evaluated under. The trace ID is taken from the
-// context (wire-supplied) or minted. Callers gate on Enabled — Begin
-// itself allocates.
+// context (wire-supplied) or minted. Callers gate on the engine's
+// observation switch — Begin itself allocates.
 func (r *Recorder) Begin(ctx context.Context, tenant, stmt string) (*Active, context.Context) {
 	trace := TraceID(ctx)
 	if trace == "" {
@@ -314,7 +274,7 @@ func (r *Recorder) Complete(a *Active, err error) {
 	}
 	rec.Seq = r.seq.Add(1)
 	r.completed.Add(1)
-	slow := rec.DurationNanos >= r.slowNS.Load()
+	slow := rec.DurationNanos >= int64(DefaultSlowThreshold)
 	if slow {
 		r.slowSeen.Add(1)
 	}
@@ -404,7 +364,7 @@ func (r *Recorder) Find(trace, tenant string, minDur time.Duration, n int) []Rec
 	return out
 }
 
-// Reset drops all retained records; counters and enablement persist.
+// Reset drops all retained records; counters persist.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	for i := range r.recent {
@@ -417,12 +377,11 @@ func (r *Recorder) Reset() {
 	r.mu.Unlock()
 }
 
-// Stats returns the recorder's counters.
+// Stats returns the recorder's counters (Enabled left false).
 func (r *Recorder) Stats() Stats {
 	return Stats{
-		Enabled:   r.on.Load(),
 		Completed: r.completed.Load(),
 		Slow:      r.slowSeen.Load(),
-		Threshold: r.SlowThreshold(),
+		Threshold: DefaultSlowThreshold,
 	}
 }

@@ -8,34 +8,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/exec"
+	"repro/internal/trace"
 )
 
-// spin burns until the monotonic clock visibly advances, so a record
-// completed after it has DurationNanos >= 1 without sleeping.
-func spin() {
-	t0 := time.Now()
-	for time.Since(t0) <= 0 {
-	}
-}
-
-func TestMechanismPriority(t *testing.T) {
-	cases := []struct {
-		hit, follower, full, degraded bool
-		want                          string
-	}{
-		{true, true, true, true, "hit"},
-		{false, true, true, true, "shared-follower"},
-		{false, false, true, true, "full-scan"},
-		{false, false, false, true, "degraded-scan"},
-		{false, false, false, false, "indexing-scan"},
-	}
-	for _, c := range cases {
-		if got := Mechanism(c.hit, c.follower, c.full, c.degraded); got != c.want {
-			t.Errorf("Mechanism(%v,%v,%v,%v) = %q, want %q",
-				c.hit, c.follower, c.full, c.degraded, got, c.want)
-		}
-	}
-}
+// backdate moves an open record's start back by the slow threshold, so
+// it completes as a slow statement without sleeping.
+func backdate(a *Active) { a.rec.StartUnixNanos -= int64(DefaultSlowThreshold) }
 
 func TestActiveNilSafe(t *testing.T) {
 	var a *Active
@@ -55,9 +35,59 @@ func TestActiveNilSafe(t *testing.T) {
 	}
 }
 
+// TestFlightDisabledIsInert pins the flight cost of the off path: with
+// the engine's observation gate off no Active is begun, so contributors
+// hold the nil Active FromContext returns. Every contribution on it
+// allocates nothing, and the recorder retains nothing.
+func TestFlightDisabledIsInert(t *testing.T) {
+	r := NewRecorder(4, 4)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		a := FromContext(ctx)
+		a.Span("page-select", "t.a", 1, 2)
+		a.Query("t", "a", "hit", 1, 1, 0, false)
+		a.WAL(time.Millisecond, 1)
+		_ = a.Trace()
+	})
+	if allocs != 0 {
+		t.Errorf("off path allocates %v per op, want 0", allocs)
+	}
+	if r.Stats().Completed != 0 || len(r.Recent(0)) != 0 {
+		t.Error("idle recorder retained state")
+	}
+}
+
+// TestMechanismPriority pins that a flight record names its statement
+// with the tracer's mechanism, in the tracer's priority order, and that
+// quota degradation stays visible on the record even when a
+// higher-priority mechanism names the statement.
+func TestMechanismPriority(t *testing.T) {
+	cases := []struct {
+		st       exec.QueryStats
+		follower bool
+		want     string
+	}{
+		{exec.QueryStats{PartialHit: true, FullScan: true, QuotaDegraded: true}, true, "hit"},
+		{exec.QueryStats{FullScan: true, QuotaDegraded: true}, true, "shared-follower"},
+		{exec.QueryStats{FullScan: true, QuotaDegraded: true}, false, "full-scan"},
+		{exec.QueryStats{QuotaDegraded: true}, false, "degraded-scan"},
+		{exec.QueryStats{}, false, "indexing-scan"},
+	}
+	r := NewRecorder(len(cases), 1)
+	for _, c := range cases {
+		a, _ := r.Begin(context.Background(), "", "SELECT")
+		a.Query("t", "a", trace.Mechanism(c.st, c.follower), 0, 0, 0, c.st.QuotaDegraded)
+		r.Complete(a, nil)
+		rec := r.Recent(1)[0]
+		if rec.Mechanism != c.want || rec.QuotaDegraded != c.st.QuotaDegraded {
+			t.Errorf("%+v follower=%v recorded as %q degraded=%v, want %q degraded=%v",
+				c.st, c.follower, rec.Mechanism, rec.QuotaDegraded, c.want, c.st.QuotaDegraded)
+		}
+	}
+}
+
 func TestActiveAccumulation(t *testing.T) {
 	r := NewRecorder(4, 4)
-	r.Enable(time.Hour)
 	a, ctx := r.Begin(WithTrace(context.Background(), "trace-1"), "acme", "SELECT 1")
 	if got := a.Trace(); got != "trace-1" {
 		t.Fatalf("Begin dropped the wire trace: %q", got)
@@ -121,19 +151,18 @@ func TestMintIDUnique(t *testing.T) {
 	}
 }
 
-// complete runs one Begin/Complete pair; slow forces the record over a
-// 1ns threshold.
+// complete runs one Begin/Complete pair; slow forces the record over
+// the slow threshold.
 func complete(r *Recorder, trace, tenant string, slow bool) {
 	a, _ := r.Begin(WithTrace(context.Background(), trace), tenant, "stmt "+trace)
 	if slow {
-		spin()
+		backdate(a)
 	}
 	r.Complete(a, nil)
 }
 
 func TestRingsEvictionAndSlowCapture(t *testing.T) {
 	r := NewRecorder(4, 2)
-	r.Enable(time.Hour) // nothing is slow yet
 	for i := 0; i < 7; i++ {
 		complete(r, fmt.Sprintf("t%d", i), "", false)
 	}
@@ -153,7 +182,6 @@ func TestRingsEvictionAndSlowCapture(t *testing.T) {
 		t.Error("slow ring populated below threshold")
 	}
 
-	r.Enable(1) // everything with a measurable duration is slow now
 	for i := 0; i < 3; i++ {
 		complete(r, fmt.Sprintf("s%d", i), "", true)
 	}
@@ -183,7 +211,6 @@ func TestRingsEvictionAndSlowCapture(t *testing.T) {
 
 func TestFindFiltersAndDedup(t *testing.T) {
 	r := NewRecorder(8, 4)
-	r.Enable(1)
 	complete(r, "tr-a", "acme", true) // in recent AND slow: must dedup
 	complete(r, "tr-b", "tiny", false)
 	complete(r, "tr-b", "acme", true)
@@ -217,7 +244,6 @@ func TestFindFiltersAndDedup(t *testing.T) {
 
 func TestSinkReceivesCompletions(t *testing.T) {
 	r := NewRecorder(2, 2)
-	r.Enable(time.Hour)
 	var mu sync.Mutex
 	var got []Record
 	r.SetSink(func(rec Record) {
@@ -235,37 +261,11 @@ func TestSinkReceivesCompletions(t *testing.T) {
 	}
 }
 
-// TestFlightDisabledIsInert pins the overhead contract: the disabled
-// gates — Recorder.Enabled (including on a nil recorder), FromContext
-// and every nil-Active method — allocate nothing.
-func TestFlightDisabledIsInert(t *testing.T) {
-	r := NewRecorder(4, 4)
-	ctx := context.Background()
-	var nilRec *Recorder
-	allocs := testing.AllocsPerRun(200, func() {
-		if r.Enabled() || nilRec.Enabled() {
-			t.Fatal("recorder enabled by default")
-		}
-		a := FromContext(ctx)
-		a.Span("page-select", "t.a", 1, 2)
-		a.Query("t", "a", "hit", 1, 1, 0, false)
-		a.WAL(time.Millisecond, 1)
-		_ = a.Trace()
-	})
-	if allocs != 0 {
-		t.Errorf("disabled path allocates %v per op, want 0", allocs)
-	}
-	if r.Stats().Completed != 0 || len(r.Recent(0)) != 0 {
-		t.Error("disabled recorder retained state")
-	}
-}
-
 // TestConcurrentRecorder exercises every public surface at once under
 // the race detector: writers completing records, readers snapshotting
-// all three views, a resetter, and enable/disable flapping.
+// all three views and a resetter.
 func TestConcurrentRecorder(t *testing.T) {
 	r := NewRecorder(16, 8)
-	r.Enable(1)
 	const writers, perWriter, readers = 4, 200, 3
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -278,6 +278,9 @@ func TestConcurrentRecorder(t *testing.T) {
 				a, _ := r.Begin(context.Background(), fmt.Sprintf("tn%d", w), "stmt")
 				a.Span("scan-lead", "t.a", -1, 1)
 				a.Query("t", "a", "indexing-scan", 1, 2, 0, false)
+				if i%3 == 0 {
+					backdate(a)
+				}
 				var err error
 				if i%7 == 0 {
 					err = errors.New("synthetic")
@@ -315,7 +318,6 @@ func TestConcurrentRecorder(t *testing.T) {
 			if i%3 == 0 {
 				r.Reset()
 			}
-			r.Enable(0)
 		}
 	}()
 

@@ -11,6 +11,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -146,7 +147,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	resp := timelineResponse{
 		Series:      []timeline.Series{},
 		Convergence: []timeline.Convergence{},
-		Enabled:     eng.Timeline().Enabled(),
+		Enabled:     eng.Observing(),
 	}
 	for _, ser := range eng.Timeline().Series() {
 		if match(ser.Table, ser.Column) {
@@ -182,9 +183,11 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var minDur time.Duration
 	if v := q.Get("min_ms"); v != "" {
+		// The range check also rejects NaN and +Inf, and keeps the
+		// conversion below from overflowing into a negative duration.
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
-			http.Error(w, "bad min_ms: want a non-negative number", http.StatusBadRequest)
+		if err != nil || !(ms >= 0 && ms*float64(time.Millisecond) < math.MaxInt64) {
+			http.Error(w, "bad min_ms: want a non-negative number within time.Duration's range", http.StatusBadRequest)
 			return
 		}
 		minDur = time.Duration(ms * float64(time.Millisecond))
@@ -198,14 +201,13 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 		}
 		n = i
 	}
-	fr := eng.Flight()
-	recs := fr.Find(q.Get("trace"), q.Get("tenant"), minDur, n)
+	recs := eng.Flight().Find(q.Get("trace"), q.Get("tenant"), minDur, n)
 	if recs == nil {
 		recs = []flight.Record{}
 	}
 	resp := queriesResponse{
-		Enabled:     fr.Enabled(),
-		ThresholdMS: float64(fr.SlowThreshold()) / float64(time.Millisecond),
+		Enabled:     eng.Observing(),
+		ThresholdMS: float64(flight.DefaultSlowThreshold) / float64(time.Millisecond),
 		Records:     recs,
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -247,7 +249,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if eng != nil {
 		dh := eng.DurabilityHealth()
 		resp.Durability = &dh
-		fs := eng.Flight().Stats()
+		fs := eng.FlightStats()
 		resp.Flight = &fs
 		if !dh.Healthy {
 			resp.Status = "unhealthy"

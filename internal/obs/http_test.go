@@ -155,7 +155,7 @@ func TestNilEngineEndpoints(t *testing.T) {
 
 func TestTimelineEndpointFilters(t *testing.T) {
 	e := newEngine(t)
-	e.Timeline().Enable(true)
+	e.Observe(true)
 	tb := e.Table("t")
 	for i := int64(0); i < 5; i++ {
 		if _, _, err := tb.QueryRangeCtx(context.Background(), 0, storage.Int64Value(20+i), storage.Int64Value(20+i)); err != nil {
@@ -249,8 +249,7 @@ func TestScrapeErrorCounted(t *testing.T) {
 // doubles as the data-race check for the whole scrape path.
 func TestConcurrentScrapeTimelineE2E(t *testing.T) {
 	e := newEngine(t)
-	e.Timeline().Enable(true)
-	e.Tracer().EnableSpans(true)
+	e.Observe(true)
 	tb := e.Table("t")
 	s := NewServer(func() *engine.Engine { return e })
 	srv, addr, err := s.Start("127.0.0.1:0")
@@ -368,8 +367,8 @@ func TestQueriesEndpoint(t *testing.T) {
 	}
 
 	// Complete two records through the recorder, one with a known trace.
+	e.Observe(true)
 	fr := e.Flight()
-	fr.Enable(1)
 	a, _ := fr.Begin(context.Background(), "acme", "SELECT 1")
 	fr.Complete(a, nil)
 	b, _ := fr.Begin(flight.WithTrace(context.Background(), "tr-obs"), "tiny", "SELECT 2")
@@ -404,7 +403,7 @@ func TestQueriesEndpoint(t *testing.T) {
 		t.Errorf("n=1 returned %d records", len(qr.Records))
 	}
 
-	for _, bad := range []string{"?min_ms=-1", "?min_ms=x", "?n=0", "?n=x"} {
+	for _, bad := range []string{"?min_ms=-1", "?min_ms=x", "?min_ms=NaN", "?min_ms=Inf", "?min_ms=1e300", "?n=0", "?n=x"} {
 		if resp, _ := get(t, h, "/debug/queries"+bad); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("GET /debug/queries%s = %d, want 400", bad, resp.StatusCode)
 		}

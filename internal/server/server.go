@@ -281,14 +281,14 @@ func (s *Server) serveLine(sess **repro.Session, line string) (response, bool) {
 
 	// Resolve the statement's trace ID before execution: a client-
 	// supplied TRACE prefix wins; otherwise one is minted while the
-	// flight recorder is on, so every response can be correlated with
-	// its flight record. With the recorder off and no prefix, the
+	// database is observing, so every response can be correlated with
+	// its flight record. With observation off and no prefix, the
 	// statement runs untraced and the response omits the field.
 	ctx := s.ctx
 	traceID, rest, ok := traceStmt(line)
 	if ok {
 		line = rest
-	} else if s.db.FlightRecorderEnabled() {
+	} else if s.db.Observing() {
 		traceID = s.db.MintTraceID()
 	}
 	if traceID != "" {

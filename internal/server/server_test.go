@@ -314,8 +314,7 @@ func TestServerShutdownDrain(t *testing.T) {
 // flight record — for that exact statement.
 func TestServerTracePropagation(t *testing.T) {
 	db := openDB(t, repro.Options{})
-	db.EnableFlightRecorder(time.Hour) // record everything, capture nothing as slow
-	db.EnableTraceEvents(true)
+	db.Observe(true)
 	_, addr := startServer(t, db, Config{})
 	c := dialProto(t, addr)
 
@@ -391,13 +390,13 @@ func TestServerTracePropagation(t *testing.T) {
 		t.Errorf("minted trace %q keys %d flight records, want 1", r2.Trace, len(got))
 	}
 
-	// With the recorder off and no prefix, the response omits the field.
-	db.DisableFlightRecorder()
+	// With observation off and no prefix, the response omits the field.
+	db.Observe(false)
 	if r3 := c.do("SELECT * FROM t WHERE a = 32"); r3.Trace != "" {
-		t.Errorf("recorder off: response still carries trace %q", r3.Trace)
+		t.Errorf("observation off: response still carries trace %q", r3.Trace)
 	}
-	// A client-supplied ID is still echoed even with the recorder off.
+	// A client-supplied ID is still echoed even with observation off.
 	if r4 := c.do("TRACE still-echoed SELECT * FROM t WHERE a = 33"); r4.Trace != "still-echoed" {
-		t.Errorf("recorder off: client trace not echoed: %+v", r4)
+		t.Errorf("observation off: client trace not echoed: %+v", r4)
 	}
 }

@@ -24,11 +24,12 @@ type (
 )
 
 // Shell evaluates commands against one engine, optionally scoped to one
-// tenant: a tenant shell sees only the tenant's tables and buffers, and
-// its tables charge the tenant's Index-Buffer quota. A Shell holds no
-// mutable state — isolation comes entirely from the engine — so
-// concurrent EvalCtx calls on one Shell are safe; the statements race
-// exactly as the underlying engine operations would.
+// tenant: a tenant shell sees only the tenant's tables, buffers, query
+// stats, timeline and slow statements, and its tables charge the
+// tenant's Index-Buffer quota. A Shell holds no mutable state —
+// isolation comes entirely from the engine — so concurrent EvalCtx calls
+// on one Shell are safe; the statements race exactly as the underlying
+// engine operations would.
 type Shell struct {
 	eng    *engine.Engine
 	tenant *core.Tenant // nil = default tenant
@@ -56,11 +57,11 @@ type Result struct {
 // UPDATE, and DML WAL commits), so a long scan is abandoned between page
 // reads when the caller gives up.
 //
-// When the engine's flight recorder is enabled, every non-empty
-// statement gets a flight record: the trace ID is taken from ctx (a
-// wire client may have supplied one) or minted here, and the completed
-// record — span tree, mechanism, WAL commit latency, duration, error —
-// lands in the recorder's rings when the statement finishes.
+// While the engine is observing, every non-empty statement gets a
+// flight record: the trace ID is taken from ctx (a wire client may have
+// supplied one) or minted here, and the completed record — span tree,
+// mechanism, WAL commit latency, duration, error — lands in the
+// recorder's rings when the statement finishes.
 func (s *Shell) EvalCtx(ctx context.Context, line string) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -69,7 +70,8 @@ func (s *Shell) EvalCtx(ctx context.Context, line string) (Result, error) {
 	if trimmed == "" || strings.HasPrefix(trimmed, "--") {
 		return Result{}, nil
 	}
-	if fr := s.eng.Flight(); fr.Enabled() {
+	if s.eng.Observing() {
+		fr := s.eng.Flight()
 		var act *flight.Active
 		act, ctx = fr.Begin(ctx, s.tenantName(), trimmed)
 		res, err := s.evalCtx(ctx, trimmed)
@@ -685,7 +687,7 @@ func (s *Shell) evalShow(p *parser) (Result, error) {
 		}
 		return Result{Output: sb.String(), Rows: len(names)}, nil
 	case "STATS":
-		return Result{Output: s.eng.Tracer().Report()}, nil
+		return Result{Output: s.eng.Tracer().Report(s.ownsTable)}, nil
 	case "TIMELINE":
 		return s.showTimeline()
 	case "SLOW":
@@ -726,14 +728,21 @@ func (s *Shell) evalShow(p *parser) (Result, error) {
 	}
 }
 
+// ownsTable reports whether a catalog table name belongs to the shell's
+// tenant; the default session sees every table. SHOW STATS and SHOW
+// TIMELINE filter by it, as SHOW BUFFERS filters by buffer owner.
+func (s *Shell) ownsTable(name string) bool {
+	return s.tenant == nil || strings.HasPrefix(name, s.tenant.Name()+":")
+}
+
 // showSlow renders the flight recorder's slow-query capture: the n
 // slowest completed statements, slowest first. A tenant shell sees only
 // its own statements.
 func (s *Shell) showSlow(n int) (Result, error) {
-	fr := s.eng.Flight()
-	if !fr.Enabled() {
-		return Result{Output: "flight recorder is off (start aibserver, or enable it programmatically)"}, nil
+	if !s.eng.Observing() {
+		return Result{Output: "flight recorder is off (start aibserver, or call DB.Observe)"}, nil
 	}
+	fr := s.eng.Flight()
 	recs := fr.Slow(n)
 	if s.tenant != nil {
 		kept := recs[:0]
@@ -745,7 +754,7 @@ func (s *Shell) showSlow(n int) (Result, error) {
 		recs = kept
 	}
 	if len(recs) == 0 {
-		return Result{Output: fmt.Sprintf("no statements above the slow threshold (%s) yet", fr.SlowThreshold())}, nil
+		return Result{Output: fmt.Sprintf("no statements above the slow threshold (%s) yet", flight.DefaultSlowThreshold)}, nil
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-24s %-10s %10s %8s %6s %6s %8s  %s\n",
@@ -763,18 +772,23 @@ func (s *Shell) showSlow(n int) (Result, error) {
 			r.Trace, r.Tenant, float64(r.DurationNanos)/1e6, mech,
 			r.Matches, r.PagesRead, float64(r.WALCommitNanos)/1e6, stmt)
 	}
-	fmt.Fprintf(&sb, "slow threshold %s; %d captured since enable", fr.SlowThreshold(), fr.Stats().Slow)
+	fmt.Fprintf(&sb, "slow threshold %s; %d captured since start", flight.DefaultSlowThreshold, fr.Stats().Slow)
 	return Result{Output: sb.String(), Rows: len(recs)}, nil
 }
 
 // showTimeline renders the adaptation timeline: one line per buffer
 // with the latest coverage sample and the convergence verdict.
 func (s *Shell) showTimeline() (Result, error) {
-	tl := s.eng.Timeline()
-	if !tl.Enabled() {
-		return Result{Output: "timeline sampling is off (start aibshell with -listen, or enable it programmatically)"}, nil
+	if !s.eng.Observing() {
+		return Result{Output: "timeline sampling is off (start aibshell with -listen, or call DB.Observe)"}, nil
 	}
-	series := tl.Series()
+	tl := s.eng.Timeline()
+	var series []timeline.Series
+	for _, ser := range tl.Series() {
+		if s.ownsTable(ser.Buffer) {
+			series = append(series, ser)
+		}
+	}
 	if len(series) == 0 {
 		return Result{Output: "no timeline samples yet (run some queries)"}, nil
 	}

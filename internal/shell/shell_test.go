@@ -390,7 +390,7 @@ func TestShowTimeline(t *testing.T) {
 		t.Errorf("disabled timeline = %q", r.Output)
 	}
 
-	s.eng.Timeline().Enable(true)
+	s.eng.Observe(true)
 	if r = mustEval(t, s, "SHOW TIMELINE"); !strings.Contains(r.Output, "no timeline samples yet") {
 		t.Errorf("empty timeline = %q", r.Output)
 	}

@@ -17,10 +17,9 @@
 // the buffer dirty; the actual coverage sample of a dirtied buffer is
 // taken later, on the next query boundary, outside all core locks.
 //
-// Disabled (the default), every entry point is a single atomic load
-// with no allocation, so the recorder can stay attached to a production
-// engine at ~zero cost — the same contract the trace package's span
-// gate established.
+// The recorder has no switch of its own: the engine calls it only while
+// its one observation gate is on, so the off path costs one atomic load
+// in the engine and never reaches this package.
 package timeline
 
 import (
@@ -30,39 +29,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
-
-// Mechanism classifies how a query was answered; the values mirror the
-// trace package's mechanism strings.
-type Mechanism int
-
-const (
-	// MechHit: answered by the partial index alone.
-	MechHit Mechanism = iota
-	// MechIndexingScan: answered by an Algorithm-1 indexing scan.
-	MechIndexingScan
-	// MechFullScan: answered by a plain full table scan (no buffer).
-	MechFullScan
-	// MechFollower: rode along on another query's shared scan.
-	MechFollower
-
-	numMechanisms
-)
-
-// String returns the trace-compatible mechanism name.
-func (m Mechanism) String() string {
-	switch m {
-	case MechHit:
-		return "hit"
-	case MechIndexingScan:
-		return "indexing-scan"
-	case MechFullScan:
-		return "full-scan"
-	case MechFollower:
-		return "shared-follower"
-	}
-	return "unknown"
-}
 
 // Sample event triggers.
 const (
@@ -177,7 +145,9 @@ type series struct {
 	dropped uint64
 
 	queries uint64
-	mech    [numMechanisms]uint64
+
+	// Cumulative query mix, in the trace package's mechanism vocabulary.
+	hits, indexingScans, fullScans, followers uint64
 
 	displacements    uint64
 	displacedEntries uint64
@@ -214,9 +184,8 @@ const (
 
 // Recorder is the adaptation-timeline subsystem: one ring-buffered
 // series per Index Buffer plus the convergence detector over them.
-// Safe for concurrent use; zero-cost while disabled.
+// Safe for concurrent use.
 type Recorder struct {
-	enabled  atomic.Bool
 	capacity int
 	target   float64
 	samples  atomic.Uint64 // total samples ever taken, across series
@@ -246,15 +215,6 @@ func New(capacity int, target float64) *Recorder {
 	}
 }
 
-// Enable turns sampling on or off. Off (the default) makes every entry
-// point a single atomic load.
-func (r *Recorder) Enable(on bool) { r.enabled.Store(on) }
-
-// Enabled reports whether sampling is on. Callers that must build
-// arguments (resolve buffers, snapshot stats) should check it first to
-// keep the disabled path allocation-free.
-func (r *Recorder) Enabled() bool { return r.enabled.Load() }
-
 // Target returns the convergence coverage target.
 func (r *Recorder) Target() float64 { return r.target }
 
@@ -272,16 +232,15 @@ func (r *Recorder) SetSink(s *Sink) {
 	r.sink.Store(s)
 }
 
-// ObserveQuery records a query boundary for (table, column): the
-// mechanism mix always advances, and when buf is non-nil its coverage,
+// ObserveQuery records a query boundary for (table, column) answered by
+// mech (a trace.Mech* name): the mechanism mix always advances — a
+// degraded scan adapts nothing, so it counts with the full scans — and
+// when buf is non-nil its coverage,
 // counter distribution and occupancy are sampled. It then re-samples
 // any buffers dirtied by adaptive events since the last boundary, using
 // resolve to map buffer names to buffers (resolve may be nil to skip).
 // No recorder lock is held while buffer state is read.
-func (r *Recorder) ObserveQuery(table, column string, mech Mechanism, buf *core.IndexBuffer, resolve func(string) *core.IndexBuffer) {
-	if !r.enabled.Load() {
-		return
-	}
+func (r *Recorder) ObserveQuery(table, column, mech string, buf *core.IndexBuffer, resolve func(string) *core.IndexBuffer) {
 	key := bufferKey(table, column)
 	snap := takeSnapshot(buf)
 	now := time.Now().UnixMicro()
@@ -292,8 +251,15 @@ func (r *Recorder) ObserveQuery(table, column string, mech Mechanism, buf *core.
 		s.table, s.column = table, column
 	}
 	s.queries++
-	if mech >= 0 && mech < numMechanisms {
-		s.mech[mech]++
+	switch mech {
+	case trace.MechHit:
+		s.hits++
+	case trace.MechIndexingScan:
+		s.indexingScans++
+	case trace.MechFullScan, trace.MechDegradedScan:
+		s.fullScans++
+	case trace.MechFollower:
+		s.followers++
 	}
 	delete(r.dirty, key) // this boundary samples the queried buffer itself
 	sample := r.appendLocked(s, EventQuery, now, snap)
@@ -316,7 +282,7 @@ func (r *Recorder) ObserveQuery(table, column string, mech Mechanism, buf *core.
 // visit (e.g. a displacement victim on another table). A nil buf is
 // ignored (the buffer was dropped between dirtying and resampling).
 func (r *Recorder) Resample(name string, buf *core.IndexBuffer) {
-	if buf == nil || !r.enabled.Load() {
+	if buf == nil {
 		return
 	}
 	snap := takeSnapshot(buf)
@@ -340,9 +306,6 @@ func (r *Recorder) Resample(name string, buf *core.IndexBuffer) {
 // safe to call with any core lock held, including from the
 // core.Observer bridge (Space.mu held).
 func (r *Recorder) NoteEvent(kind, target string, page, n int) {
-	if !r.enabled.Load() {
-		return
-	}
 	_ = page
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -377,9 +340,6 @@ func (r *Recorder) NoteEvent(kind, target string, page, n int) {
 // adaptive events since the last call. The caller resolves each name to
 // its buffer (outside core's locks) and calls Resample.
 func (r *Recorder) TakeDirty() []string {
-	if !r.enabled.Load() {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.takeDirtyLocked()
@@ -478,10 +438,10 @@ func (r *Recorder) appendLocked(s *series, event string, unixMicros int64, snap 
 		Displacements:    s.displacements,
 		DisplacedEntries: s.displacedEntries,
 		PageCompletes:    s.pageCompletes,
-		Hits:             s.mech[MechHit],
-		IndexingScans:    s.mech[MechIndexingScan],
-		FullScans:        s.mech[MechFullScan],
-		Followers:        s.mech[MechFollower],
+		Hits:             s.hits,
+		IndexingScans:    s.indexingScans,
+		FullScans:        s.fullScans,
+		Followers:        s.followers,
 	}
 	s.ring[s.next] = sample
 	s.next = (s.next + 1) % len(s.ring)

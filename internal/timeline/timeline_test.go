@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // mkBuf builds a real IndexBuffer whose coverage is determined by the
@@ -21,46 +22,11 @@ func mkBuf(t *testing.T, name string, uncovered []int) *core.IndexBuffer {
 	return b
 }
 
-func TestMechanismString(t *testing.T) {
-	want := map[Mechanism]string{
-		MechHit:          "hit",
-		MechIndexingScan: "indexing-scan",
-		MechFullScan:     "full-scan",
-		MechFollower:     "shared-follower",
-		Mechanism(99):    "unknown",
-	}
-	for m, s := range want {
-		if got := m.String(); got != s {
-			t.Errorf("Mechanism(%d).String() = %q, want %q", m, got, s)
-		}
-	}
-}
-
-func TestTimelineDisabledIsInert(t *testing.T) {
-	r := New(0, 0)
-	if r.Enabled() {
-		t.Fatal("recorder enabled by default")
-	}
-	buf := mkBuf(t, "t.a", []int{0, 0})
-	allocs := testing.AllocsPerRun(100, func() {
-		r.ObserveQuery("t", "a", MechHit, buf, nil)
-		r.NoteEvent("displace", "t.a", 0, 3)
-		r.Resample("t.a", buf)
-	})
-	if allocs != 0 {
-		t.Errorf("disabled path allocates: %v allocs/op", allocs)
-	}
-	if r.SampleCount() != 0 || len(r.Series()) != 0 || r.TakeDirty() != nil {
-		t.Error("disabled recorder retained state")
-	}
-}
-
 func TestTimelineRingEvictionAndDropped(t *testing.T) {
 	r := New(4, 0.95)
-	r.Enable(true)
 	buf := mkBuf(t, "t.a", []int{0, 1})
 	for i := 0; i < 10; i++ {
-		r.ObserveQuery("t", "a", MechIndexingScan, buf, nil)
+		r.ObserveQuery("t", "a", trace.MechIndexingScan, buf, nil)
 	}
 	s, ok := r.SeriesFor("t.a")
 	if !ok {
@@ -87,10 +53,9 @@ func TestTimelineRingEvictionAndDropped(t *testing.T) {
 
 func TestTimelineSampleFields(t *testing.T) {
 	r := New(8, 0.95)
-	r.Enable(true)
 	// Counters {0, 2, 5, 0}: 2 of 4 skippable, non-zero distribution {2, 5}.
 	buf := mkBuf(t, "t.a", []int{0, 2, 5, 0})
-	r.ObserveQuery("t", "a", MechHit, buf, nil)
+	r.ObserveQuery("t", "a", trace.MechHit, buf, nil)
 	s, _ := r.SeriesFor("t.a")
 	sm := s.Samples[0]
 	if sm.Event != EventQuery || sm.Query != 1 {
@@ -112,8 +77,8 @@ func TestTimelineSampleFields(t *testing.T) {
 
 func TestTimelineNilBufferQueryMixOnly(t *testing.T) {
 	r := New(8, 0.95)
-	r.Enable(true)
-	r.ObserveQuery("t", "a", MechFullScan, nil, nil)
+	r.ObserveQuery("t", "a", trace.MechFullScan, nil, nil)
+	r.ObserveQuery("t", "a", trace.MechDegradedScan, nil, nil) // adapts nothing: a full scan
 	s, _ := r.SeriesFor("t.a")
 	sm := s.Samples[0]
 	if sm.TotalPages != 0 || sm.Coverage != 0 {
@@ -122,15 +87,69 @@ func TestTimelineNilBufferQueryMixOnly(t *testing.T) {
 	if sm.FullScans != 1 {
 		t.Errorf("full scans = %d", sm.FullScans)
 	}
+	if got := s.Samples[1]; got.FullScans != 2 || got.IndexingScans != 0 {
+		t.Errorf("degraded scan counted as %d full, %d indexing scans; want 2 full", got.FullScans, got.IndexingScans)
+	}
+}
+
+// TestMechanismString pins how the trace package's mechanism names fill
+// a sample's query mix: a degraded scan adapts nothing and counts with
+// the full scans, and a name outside the vocabulary advances only the
+// query count.
+func TestMechanismString(t *testing.T) {
+	cases := []struct {
+		mech string
+		want [4]uint64 // hits, indexing scans, full scans, followers
+	}{
+		{trace.MechHit, [4]uint64{1, 0, 0, 0}},
+		{trace.MechIndexingScan, [4]uint64{0, 1, 0, 0}},
+		{trace.MechFullScan, [4]uint64{0, 0, 1, 0}},
+		{trace.MechDegradedScan, [4]uint64{0, 0, 1, 0}},
+		{trace.MechFollower, [4]uint64{0, 0, 0, 1}},
+		{"unknown", [4]uint64{}},
+	}
+	for _, c := range cases {
+		r := New(8, 0.95)
+		r.ObserveQuery("t", "a", c.mech, nil, nil)
+		s, ok := r.SeriesFor("t.a")
+		if !ok || len(s.Samples) != 1 {
+			t.Fatalf("%s: no sample taken", c.mech)
+		}
+		sm := s.Samples[0]
+		got := [4]uint64{sm.Hits, sm.IndexingScans, sm.FullScans, sm.Followers}
+		if sm.Query != 1 || got != c.want {
+			t.Errorf("%s: query %d, mix %v; want 1, %v", c.mech, sm.Query, got, c.want)
+		}
+	}
+}
+
+// TestTimelineDisabledIsInert pins that the recorder holds only what it
+// is given: a fresh recorder has no samples, series, dirty buffers or
+// verdicts, and the calls that can reach it outside a query boundary —
+// resampling a buffer dropped since it was dirtied, draining an empty
+// dirty set — allocate nothing and retain nothing.
+func TestTimelineDisabledIsInert(t *testing.T) {
+	r := New(0, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Resample("t.a", nil)
+		if r.TakeDirty() != nil {
+			t.Fatal("empty recorder reports dirty buffers")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("idle path allocates: %v allocs/op", allocs)
+	}
+	if r.SampleCount() != 0 || len(r.Series()) != 0 || len(r.Convergence()) != 0 {
+		t.Error("idle recorder retained state")
+	}
 }
 
 func TestConvergenceAchieveRegressRecover(t *testing.T) {
 	r := New(16, 0.75)
-	r.Enable(true)
 	low := mkBuf(t, "t.a", []int{1, 1, 1, 0})  // coverage 0.25
 	high := mkBuf(t, "t.b", []int{0, 0, 0, 1}) // coverage 0.75
 
-	r.ObserveQuery("t", "a", MechIndexingScan, low, nil)
+	r.ObserveQuery("t", "a", trace.MechIndexingScan, low, nil)
 	c := r.Convergence()[0]
 	if c.Achieved || c.Regressed {
 		t.Fatalf("premature verdict: %+v", c)
@@ -139,14 +158,14 @@ func TestConvergenceAchieveRegressRecover(t *testing.T) {
 		t.Errorf("coverage tracking = %g/%g", c.Coverage, c.MaxCoverage)
 	}
 
-	r.ObserveQuery("t", "a", MechIndexingScan, high, nil)
+	r.ObserveQuery("t", "a", trace.MechIndexingScan, high, nil)
 	c = r.Convergence()[0]
 	if !c.Achieved || c.QueriesToTarget != 2 {
 		t.Fatalf("achieve not detected: %+v", c)
 	}
 
 	// Coverage drops below target after achieving: regression.
-	r.ObserveQuery("t", "a", MechIndexingScan, low, nil)
+	r.ObserveQuery("t", "a", trace.MechIndexingScan, low, nil)
 	c = r.Convergence()[0]
 	if !c.Regressed || c.RegressedAt != 3 {
 		t.Fatalf("regression not flagged: %+v", c)
@@ -156,7 +175,7 @@ func TestConvergenceAchieveRegressRecover(t *testing.T) {
 	}
 
 	// Recovery clears the flag but keeps the first-crossing ordinal.
-	r.ObserveQuery("t", "a", MechIndexingScan, high, nil)
+	r.ObserveQuery("t", "a", trace.MechIndexingScan, high, nil)
 	c = r.Convergence()[0]
 	if c.Regressed {
 		t.Errorf("regression flag not cleared on recovery: %+v", c)
@@ -176,11 +195,10 @@ func TestConvergenceAchieveRegressRecover(t *testing.T) {
 // flagging the rebuild as a mere regression.
 func TestConvergenceBufferResetStartsNewEpisode(t *testing.T) {
 	r := New(16, 0.75)
-	r.Enable(true)
 	high := mkBuf(t, "t.a", []int{0, 0, 0, 1}) // coverage 0.75
 	low := mkBuf(t, "t.a", []int{1, 1, 1, 0})  // coverage 0.25
 
-	r.ObserveQuery("t", "a", MechIndexingScan, high, nil)
+	r.ObserveQuery("t", "a", trace.MechIndexingScan, high, nil)
 	if c := r.Convergence()[0]; !c.Achieved || c.QueriesToTarget != 1 {
 		t.Fatalf("setup verdict: %+v", c)
 	}
@@ -203,11 +221,11 @@ func TestConvergenceBufferResetStartsNewEpisode(t *testing.T) {
 
 	// The fresh buffer starts low, then re-achieves: the second episode
 	// gets its own crossing ordinal, not the first's.
-	r.ObserveQuery("t", "a", MechIndexingScan, low, nil)
+	r.ObserveQuery("t", "a", trace.MechIndexingScan, low, nil)
 	if c := r.Convergence()[0]; c.Achieved || c.Regressed {
 		t.Fatalf("new episode inherited old verdict: %+v", c)
 	}
-	r.ObserveQuery("t", "a", MechIndexingScan, high, nil)
+	r.ObserveQuery("t", "a", trace.MechIndexingScan, high, nil)
 	c = r.Convergence()[0]
 	if !c.Achieved || c.QueriesToTarget != 3 {
 		t.Fatalf("re-achievement verdict: %+v", c)
@@ -219,7 +237,6 @@ func TestConvergenceBufferResetStartsNewEpisode(t *testing.T) {
 
 func TestNoteEventDirtyResample(t *testing.T) {
 	r := New(8, 0.95)
-	r.Enable(true)
 	victim := mkBuf(t, "u.b", []int{0, 3})
 	queried := mkBuf(t, "t.a", []int{0})
 
@@ -228,7 +245,7 @@ func TestNoteEventDirtyResample(t *testing.T) {
 	r.NoteEvent("scan-start", "u.b", 0, 0) // not a churn event: ignored
 
 	resolved := map[string]*core.IndexBuffer{"u.b": victim}
-	r.ObserveQuery("t", "a", MechHit, queried, func(name string) *core.IndexBuffer {
+	r.ObserveQuery("t", "a", trace.MechHit, queried, func(name string) *core.IndexBuffer {
 		return resolved[name]
 	})
 
@@ -252,7 +269,6 @@ func TestNoteEventDirtyResample(t *testing.T) {
 
 func TestTakeDirtySortedAndCleared(t *testing.T) {
 	r := New(8, 0.95)
-	r.Enable(true)
 	r.NoteEvent("displace", "z.z", 0, 1)
 	r.NoteEvent("displace", "a.a", 0, 1)
 	got := r.TakeDirty()
@@ -266,14 +282,13 @@ func TestTakeDirtySortedAndCleared(t *testing.T) {
 
 func TestRecorderReset(t *testing.T) {
 	r := New(8, 0.95)
-	r.Enable(true)
-	r.ObserveQuery("t", "a", MechHit, nil, nil)
+	r.ObserveQuery("t", "a", trace.MechHit, nil, nil)
 	before := r.SampleCount()
 	r.Reset()
 	if len(r.Series()) != 0 {
 		t.Error("Reset left series behind")
 	}
-	r.ObserveQuery("t", "a", MechHit, nil, nil)
+	r.ObserveQuery("t", "a", trace.MechHit, nil, nil)
 	if r.SampleCount() != before+1 {
 		t.Errorf("sample count restarted: %d", r.SampleCount())
 	}
@@ -283,12 +298,11 @@ func TestSinkRoundTrip(t *testing.T) {
 	var out bytes.Buffer
 	sink := NewSink(&out)
 	r := New(8, 0.95)
-	r.Enable(true)
 	r.SetSink(sink)
 
 	buf := mkBuf(t, "t.a", []int{0, 1})
-	r.ObserveQuery("t", "a", MechIndexingScan, buf, nil)
-	r.ObserveQuery("t", "a", MechHit, buf, nil)
+	r.ObserveQuery("t", "a", trace.MechIndexingScan, buf, nil)
+	r.ObserveQuery("t", "a", trace.MechHit, buf, nil)
 	sink.WriteSpan(SpanRecord{Seq: 7, Kind: "displace", Target: "t.a", Page: 3, N: 2})
 
 	if st := sink.Stats(); st.Lines != 3 || st.Errors != 0 {

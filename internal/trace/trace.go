@@ -1,17 +1,17 @@
 // Package trace implements query monitoring: a bounded ring of recent
 // query outcomes, per-column aggregates (hit rates, page costs, buffer
 // effectiveness, mean wall-clock), per-mechanism latency histograms,
-// and — opt-in — a ring of structured span events emitted by the
-// adaptive machinery (miss admission, shared-scan batching, Algorithm-2
-// page selection, displacement, C[p]→0 transitions). It is the
+// and a ring of structured span events emitted by the adaptive
+// machinery (miss admission, shared-scan batching, Algorithm-2 page
+// selection, displacement, C[p]→0 transitions). It is the
 // observability layer a DBA would use to see whether the Index Buffer
 // is earning its memory — the engine records into an attached Tracer,
 // the shell exposes it as SHOW STATS, the facade as DB.TraceReport /
 // DB.TraceEvents, and the HTTP endpoint as /metrics.
 //
-// Every method is safe for concurrent use. Span emission is gated by a
-// single atomic load and is allocation-free while disabled, so the
-// tracer can stay attached to a production engine at ~zero cost.
+// Every method is safe for concurrent use. The tracer has no switch of
+// its own: the engine emits spans only while its one observation gate
+// is on, so the off path never reaches this package.
 package trace
 
 import (
@@ -25,11 +25,40 @@ import (
 	"repro/internal/metrics"
 )
 
+// The mechanism vocabulary: how a query was answered. The tracer's
+// latency histograms, the adaptation timeline's query mix and flight
+// records all use these names.
+const (
+	MechHit          = "hit"             // answered by the partial index alone
+	MechIndexingScan = "indexing-scan"   // an Algorithm-1 indexing scan
+	MechFullScan     = "full-scan"       // a plain full table scan (no buffer)
+	MechDegradedScan = "degraded-scan"   // a read-only scan of a tenant over quota
+	MechFollower     = "shared-follower" // rode along on another query's shared scan
+)
+
+// Mechanism names how a query was answered. A hit wins over every other
+// flag: a follower whose predicate the partial index served after a
+// redefinition is still a hit. Any other follower is filed under its
+// own mechanism, because its wall time is spent waiting on the leader.
+func Mechanism(stats exec.QueryStats, follower bool) string {
+	switch {
+	case stats.PartialHit:
+		return MechHit
+	case follower:
+		return MechFollower
+	case stats.FullScan:
+		return MechFullScan
+	case stats.QuotaDegraded:
+		return MechDegradedScan
+	}
+	return MechIndexingScan
+}
+
 // Event is one recorded query outcome.
 type Event struct {
 	Table      string
 	Column     string
-	Mechanism  string // "hit", "indexing-scan", "full-scan", "degraded-scan", "shared-follower"
+	Mechanism  string // one of the Mech* constants
 	PagesRead  int
 	Skipped    int
 	Matches    int
@@ -133,8 +162,7 @@ type Tracer struct {
 	aggs   map[string]*Aggregate         // keyed by table+"."+column
 	lat    map[string]*metrics.Histogram // per-mechanism latency (µs)
 
-	spansOn atomic.Bool   // gate checked before any span work
-	seq     atomic.Uint64 // monotonic span sequence, survives Reset
+	seq atomic.Uint64 // monotonic span sequence, survives Reset
 
 	// spanSink, when set, receives every recorded span after it enters
 	// the ring — the telemetry-export tap. Atomic so Span's hot path
@@ -166,37 +194,8 @@ func New(capacity int) *Tracer {
 	}
 }
 
-// Record ingests one query outcome, deriving the mechanism from the
-// stats: partial-index hit, full scan, quota-degraded scan, or indexing
-// scan.
-func (t *Tracer) Record(table, column string, stats exec.QueryStats) {
-	mech := "indexing-scan"
-	switch {
-	case stats.PartialHit:
-		mech = "hit"
-	case stats.FullScan:
-		mech = "full-scan"
-	case stats.QuotaDegraded:
-		mech = "degraded-scan"
-	}
-	t.record(table, column, mech, stats)
-}
-
-// RecordFollower ingests the outcome of a query that rode along on
-// another query's shared scan. A follower whose predicate was served by
-// the partial index (re-dispatch after an index redefinition) still
-// counts as a hit; any scanning outcome is attributed to the
-// "shared-follower" mechanism so its latency — dominated by waiting on
-// the leader — does not distort the indexing-scan histogram.
-func (t *Tracer) RecordFollower(table, column string, stats exec.QueryStats) {
-	mech := "shared-follower"
-	if stats.PartialHit {
-		mech = "hit"
-	}
-	t.record(table, column, mech, stats)
-}
-
-func (t *Tracer) record(table, column, mech string, stats exec.QueryStats) {
+// Record ingests one query outcome answered by mech (see Mechanism).
+func (t *Tracer) Record(table, column, mech string, stats exec.QueryStats) {
 	ev := Event{
 		Table:      table,
 		Column:     column,
@@ -303,29 +302,11 @@ func (t *Tracer) LatencyStats() []MechanismLatency {
 	return out
 }
 
-// EnableSpans turns span-event recording on or off. Off (the default)
-// makes Span a single atomic load — no lock, no allocation — so the
-// instrumented hot paths cost ~nothing in production.
-func (t *Tracer) EnableSpans(on bool) { t.spansOn.Store(on) }
-
-// SpansEnabled reports whether span events are being recorded. Callers
-// that must build a span's arguments (closures, name formatting) should
-// check it first to keep the disabled path allocation-free.
-func (t *Tracer) SpansEnabled() bool { return t.spansOn.Load() }
-
 // Span records one span event into the span ring, stamping it with the
-// next monotonic sequence number. A no-op while spans are disabled.
-func (t *Tracer) Span(kind, target string, page, n int) {
-	t.SpanTraced(kind, target, page, n, "")
-}
-
-// SpanTraced is Span carrying the emitting statement's trace ID, so the
-// global stream stays joinable to per-statement flight records. Paths
-// without statement context pass "" (via Span).
-func (t *Tracer) SpanTraced(kind, target string, page, n int, traceID string) {
-	if !t.spansOn.Load() {
-		return
-	}
+// next monotonic sequence number and the emitting statement's trace ID
+// ("" for paths without statement context), so the global stream stays
+// joinable to per-statement flight records.
+func (t *Tracer) Span(kind, target string, page, n int, traceID string) {
 	sp := Span{Seq: t.seq.Add(1), Kind: kind, Target: target, Page: page, N: n, Trace: traceID}
 	t.spanMu.Lock()
 	t.spans[t.spanNext] = sp
@@ -340,10 +321,8 @@ func (t *Tracer) SpanTraced(kind, target string, page, n int, traceID string) {
 }
 
 // SetSpanSink registers fn to receive every span after it enters the
-// ring (nil unregisters). The span gate still applies — a sink sees
-// nothing while spans are disabled — and fn runs on the emitting
-// goroutine, so it must be fast and must not call back into the
-// tracer's span path.
+// ring (nil unregisters). fn runs on the emitting goroutine, so it must
+// be fast and must not call back into the tracer's span path.
 func (t *Tracer) SetSpanSink(fn func(Span)) {
 	if fn == nil {
 		t.spanSink.Store(nil)
@@ -383,17 +362,22 @@ func (t *Tracer) Reset() {
 	t.spanMu.Unlock()
 }
 
-// Report renders the aggregates as an aligned text table.
-func (t *Tracer) Report() string {
-	aggs := t.Aggregates()
-	if len(aggs) == 0 {
-		return "no queries recorded"
-	}
+// Report renders the aggregates of the tables keep accepts (nil keeps
+// every table) as an aligned text table.
+func (t *Tracer) Report(keep func(table string) bool) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-20s %8s %8s %12s %10s %12s\n", "column", "queries", "hit%", "pages/query", "skip%", "µs/query")
-	for _, a := range aggs {
+	for _, a := range t.Aggregates() {
+		if keep != nil && !keep(a.Table) {
+			continue
+		}
+		if sb.Len() == 0 {
+			fmt.Fprintf(&sb, "%-20s %8s %8s %12s %10s %12s\n", "column", "queries", "hit%", "pages/query", "skip%", "µs/query")
+		}
 		fmt.Fprintf(&sb, "%-20s %8d %7.1f%% %12.1f %9.1f%% %12.1f\n",
 			a.Table+"."+a.Column, a.Queries, 100*a.HitRate(), a.MeanPages(), 100*a.SkipShare(), a.MeanWallMicros())
+	}
+	if sb.Len() == 0 {
+		return "no queries recorded"
 	}
 	return strings.TrimRight(sb.String(), "\n")
 }

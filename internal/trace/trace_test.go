@@ -20,11 +20,49 @@ func stats(hit, full bool, pages, skipped, matches int) exec.QueryStats {
 	}
 }
 
+// record files st under the mechanism its flags imply, as the engine
+// does.
+func record(tr *Tracer, table, column string, follower bool, st exec.QueryStats) {
+	tr.Record(table, column, Mechanism(st, follower), st)
+}
+
+// TestTracerMechanism pins the one mechanism vocabulary and its
+// priority: hit beats follower beats full scan beats degraded scan.
+func TestTracerMechanism(t *testing.T) {
+	cases := []struct {
+		hit, follower, full, degraded bool
+		want                          string
+	}{
+		{true, true, true, true, MechHit},
+		{true, false, false, false, MechHit},
+		{false, true, true, true, MechFollower},
+		{false, false, true, true, MechFullScan},
+		{false, false, false, true, MechDegradedScan},
+		{false, false, false, false, MechIndexingScan},
+	}
+	for _, c := range cases {
+		st := exec.QueryStats{PartialHit: c.hit, FullScan: c.full, QuotaDegraded: c.degraded}
+		if got := Mechanism(st, c.follower); got != c.want {
+			t.Errorf("Mechanism(hit=%v follower=%v full=%v degraded=%v) = %q, want %q",
+				c.hit, c.follower, c.full, c.degraded, got, c.want)
+		}
+	}
+	names := map[string]string{
+		MechHit: "hit", MechIndexingScan: "indexing-scan", MechFullScan: "full-scan",
+		MechDegradedScan: "degraded-scan", MechFollower: "shared-follower",
+	}
+	for got, want := range names {
+		if got != want {
+			t.Errorf("mechanism name %q, want %q", got, want)
+		}
+	}
+}
+
 func TestRecordAndAggregates(t *testing.T) {
 	tr := New(16)
-	tr.Record("t", "a", stats(true, false, 5, 0, 2))
-	tr.Record("t", "a", stats(false, false, 10, 90, 1))
-	tr.Record("t", "b", stats(false, true, 100, 0, 0))
+	record(tr, "t", "a", false, stats(true, false, 5, 0, 2))
+	record(tr, "t", "a", false, stats(false, false, 10, 90, 1))
+	record(tr, "t", "b", false, stats(false, true, 100, 0, 0))
 
 	aggs := tr.Aggregates()
 	if len(aggs) != 2 {
@@ -59,7 +97,7 @@ func TestZeroQueryAggregates(t *testing.T) {
 func TestRecentRingOrder(t *testing.T) {
 	tr := New(3)
 	for i := 1; i <= 5; i++ {
-		tr.Record("t", "a", stats(false, false, i, 0, 0))
+		record(tr, "t", "a", false, stats(false, false, i, 0, 0))
 	}
 	got := tr.Recent(10) // more than capacity: clipped to 3
 	if len(got) != 3 {
@@ -78,16 +116,19 @@ func TestRecentRingOrder(t *testing.T) {
 
 func TestReportAndReset(t *testing.T) {
 	tr := New(8)
-	if tr.Report() != "no queries recorded" {
-		t.Errorf("empty report = %q", tr.Report())
+	if tr.Report(nil) != "no queries recorded" {
+		t.Errorf("empty report = %q", tr.Report(nil))
 	}
-	tr.Record("flights", "airport", stats(true, false, 3, 0, 1))
-	rep := tr.Report()
+	record(tr, "flights", "airport", false, stats(true, false, 3, 0, 1))
+	rep := tr.Report(nil)
 	if !strings.Contains(rep, "flights.airport") || !strings.Contains(rep, "100.0%") {
 		t.Errorf("report = %q", rep)
 	}
+	if got := tr.Report(func(table string) bool { return table != "flights" }); got != "no queries recorded" {
+		t.Errorf("filtered report = %q, want no queries", got)
+	}
 	tr.Reset()
-	if tr.Report() != "no queries recorded" || len(tr.Recent(5)) != 0 {
+	if tr.Report(nil) != "no queries recorded" || len(tr.Recent(5)) != 0 {
 		t.Error("reset did not clear")
 	}
 }
@@ -100,7 +141,7 @@ func TestTracerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr.Record("t", "a", stats(i%2 == 0, false, 1, 1, 0))
+				record(tr, "t", "a", false, stats(i%2 == 0, false, 1, 1, 0))
 				_ = tr.Recent(5)
 				_ = tr.Aggregates()
 			}
@@ -118,7 +159,6 @@ func TestTracerConcurrent(t *testing.T) {
 // monitor-correctness stress test CI runs.
 func TestTracerStress(t *testing.T) {
 	tr := New(32)
-	tr.EnableSpans(true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -127,18 +167,18 @@ func TestTracerStress(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				switch i % 6 {
 				case 0:
-					tr.Record("t", "a", stats(i%2 == 0, false, 2, 1, 1))
+					record(tr, "t", "a", false, stats(i%2 == 0, false, 2, 1, 1))
 				case 1:
-					tr.RecordFollower("t", "a", stats(false, false, 2, 1, 1))
+					record(tr, "t", "a", true, stats(false, false, 2, 1, 1))
 				case 2:
-					tr.Span(SpanMissAdmit, "t.a", -1, 0)
+					tr.Span(SpanMissAdmit, "t.a", -1, 0, "")
 					_ = tr.Spans(10)
 				case 3:
 					_ = tr.Recent(7)
 					_ = tr.Aggregates()
 				case 4:
 					_ = tr.LatencyStats()
-					_ = tr.Report()
+					_ = tr.Report(nil)
 				case 5:
 					if g == 0 {
 						tr.Reset()
@@ -163,7 +203,7 @@ func TestTracerStress(t *testing.T) {
 // (negative cap passed to make).
 func TestRecentNegative(t *testing.T) {
 	tr := New(4)
-	tr.Record("t", "a", stats(false, false, 1, 0, 0))
+	record(tr, "t", "a", false, stats(false, false, 1, 0, 0))
 	if got := tr.Recent(-1); len(got) != 0 {
 		t.Errorf("Recent(-1) = %d events, want 0", len(got))
 	}
@@ -176,13 +216,13 @@ func TestRecentNegative(t *testing.T) {
 // historically accumulated into the aggregate but never surfaced.
 func TestReportMeanMicros(t *testing.T) {
 	tr := New(8)
-	tr.Record("t", "a", stats(true, false, 1, 0, 0)) // 3ms each
-	tr.Record("t", "a", stats(true, false, 1, 0, 0))
+	record(tr, "t", "a", false, stats(true, false, 1, 0, 0)) // 3ms each
+	record(tr, "t", "a", false, stats(true, false, 1, 0, 0))
 	a := tr.Aggregates()[0]
 	if got := a.MeanWallMicros(); got != 3000 {
 		t.Errorf("MeanWallMicros = %v, want 3000", got)
 	}
-	rep := tr.Report()
+	rep := tr.Report(nil)
 	if !strings.Contains(rep, "µs/query") {
 		t.Errorf("report missing µs/query header: %q", rep)
 	}
@@ -193,11 +233,11 @@ func TestReportMeanMicros(t *testing.T) {
 
 func TestLatencyStatsPerMechanism(t *testing.T) {
 	tr := New(8)
-	tr.Record("t", "a", stats(true, false, 1, 0, 0))  // hit
-	tr.Record("t", "a", stats(false, false, 5, 0, 0)) // indexing-scan
-	tr.Record("t", "b", stats(false, true, 9, 0, 0))  // full-scan
-	tr.RecordFollower("t", "a", stats(false, false, 5, 0, 0))
-	tr.RecordFollower("t", "a", stats(true, false, 1, 0, 0)) // follower served as hit
+	record(tr, "t", "a", false, stats(true, false, 1, 0, 0))  // hit
+	record(tr, "t", "a", false, stats(false, false, 5, 0, 0)) // indexing-scan
+	record(tr, "t", "b", false, stats(false, true, 9, 0, 0))  // full-scan
+	record(tr, "t", "a", true, stats(false, false, 5, 0, 0))
+	record(tr, "t", "a", true, stats(true, false, 1, 0, 0)) // follower served as hit
 
 	ls := tr.LatencyStats()
 	got := map[string]int{}
@@ -215,25 +255,44 @@ func TestLatencyStatsPerMechanism(t *testing.T) {
 	}
 }
 
+// TestSpansDisabledByDefault pins that spans are opt-in: recording
+// query outcomes never produces a span, so a tracer the engine feeds
+// only through Record (its observation gate off) retains none.
 func TestSpansDisabledByDefault(t *testing.T) {
 	tr := New(8)
-	tr.Span(SpanMissAdmit, "t.a", -1, 0)
+	record(tr, "t", "a", false, stats(true, false, 5, 0, 2))
+	record(tr, "t", "a", false, stats(false, false, 10, 90, 1))
 	if got := tr.Spans(10); len(got) != 0 {
-		t.Errorf("spans recorded while disabled: %v", got)
-	}
-	if tr.SpansEnabled() {
-		t.Error("spans enabled by default")
+		t.Errorf("spans recorded by query outcomes alone: %v", got)
 	}
 	if tr.SpanCount() != 0 {
-		t.Errorf("SpanCount = %d while disabled", tr.SpanCount())
+		t.Errorf("SpanCount = %d with no span emitted", tr.SpanCount())
+	}
+}
+
+// TestSpanDisabledZeroAlloc pins the cost of a span while the telemetry
+// sink is detached: it fills a preallocated ring slot and allocates
+// nothing, before a sink is ever attached and after one is removed.
+func TestSpanDisabledZeroAlloc(t *testing.T) {
+	tr := New(8)
+	span := func() { tr.Span(SpanPageSelect, "t.a", -1, 12, "trace-1") }
+	if avg := testing.AllocsPerRun(200, span); avg != 0 {
+		t.Errorf("Span without a sink allocates %v per call, want 0", avg)
+	}
+	tr.SetSpanSink(func(Span) {})
+	tr.SetSpanSink(nil)
+	if avg := testing.AllocsPerRun(200, span); avg != 0 {
+		t.Errorf("Span after the sink is removed allocates %v per call, want 0", avg)
+	}
+	if got := tr.Spans(1); len(got) != 1 || got[0].Kind != SpanPageSelect || got[0].Trace != "trace-1" {
+		t.Errorf("span not retained: %v", got)
 	}
 }
 
 func TestSpanRingOrderAndWrap(t *testing.T) {
 	tr := New(3)
-	tr.EnableSpans(true)
 	for i := 1; i <= 5; i++ {
-		tr.Span(SpanPageComplete, "t.a", i, i*10)
+		tr.Span(SpanPageComplete, "t.a", i, i*10, "")
 	}
 	got := tr.Spans(10)
 	if len(got) != 3 {
@@ -256,37 +315,17 @@ func TestSpanRingOrderAndWrap(t *testing.T) {
 	if len(tr.Spans(10)) != 0 {
 		t.Error("Reset did not clear spans")
 	}
-	tr.Span(SpanMissAdmit, "t.a", -1, 0)
+	tr.Span(SpanMissAdmit, "t.a", -1, 0, "")
 	if got := tr.Spans(1); len(got) != 1 || got[0].Seq != 6 {
 		t.Errorf("post-Reset span = %+v, want seq 6", got)
 	}
 }
 
-// TestSpanDisabledZeroAlloc pins the overhead contract: with spans
-// disabled, Span is one atomic load and allocates nothing.
-func TestSpanDisabledZeroAlloc(t *testing.T) {
-	tr := New(8)
-	if avg := testing.AllocsPerRun(200, func() {
-		tr.Span(SpanPageSelect, "t.a", -1, 12)
-	}); avg != 0 {
-		t.Errorf("disabled Span allocates %v per call, want 0", avg)
-	}
-}
-
-func BenchmarkSpanDisabled(b *testing.B) {
+func BenchmarkSpan(b *testing.B) {
 	tr := New(512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Span(SpanMissAdmit, "t.a", -1, 0)
-	}
-}
-
-func BenchmarkSpanEnabled(b *testing.B) {
-	tr := New(512)
-	tr.EnableSpans(true)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Span(SpanMissAdmit, "t.a", -1, 0)
+		tr.Span(SpanMissAdmit, "t.a", -1, 0, "")
 	}
 }
 
@@ -295,13 +334,13 @@ func BenchmarkRecord(b *testing.B) {
 	st := stats(true, false, 3, 0, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Record("t", "a", st)
+		record(tr, "t", "a", false, st)
 	}
 }
 
 func TestCapacityClamp(t *testing.T) {
 	tr := New(0)
-	tr.Record("t", "a", stats(false, false, 1, 0, 0))
+	record(tr, "t", "a", false, stats(false, false, 1, 0, 0))
 	if got := tr.Recent(5); len(got) != 1 {
 		t.Errorf("recent = %d", len(got))
 	}
@@ -313,10 +352,9 @@ func TestCapacityClamp(t *testing.T) {
 func TestRecentSpansClampBoundaries(t *testing.T) {
 	const capacity, recorded = 4, 3
 	tr := New(capacity)
-	tr.EnableSpans(true)
 	for i := 0; i < recorded; i++ {
-		tr.Record("t", "a", stats(false, false, 1, 0, 0))
-		tr.Span(SpanMissAdmit, "t.a", -1, 0)
+		record(tr, "t", "a", false, stats(false, false, 1, 0, 0))
+		tr.Span(SpanMissAdmit, "t.a", -1, 0, "")
 	}
 	cases := []struct {
 		name string
@@ -345,7 +383,7 @@ func TestRecentSpansClampBoundaries(t *testing.T) {
 }
 
 // TestSpanSink covers the telemetry tap: the sink sees every span after
-// it enters the ring, respects the span gate, and detaches cleanly.
+// it enters the ring and detaches cleanly.
 func TestSpanSink(t *testing.T) {
 	tr := New(8)
 	var mu sync.Mutex
@@ -356,15 +394,8 @@ func TestSpanSink(t *testing.T) {
 		mu.Unlock()
 	})
 
-	// Gate closed: sink sees nothing.
-	tr.Span(SpanDisplace, "t.a", 3, 2)
-	if len(got) != 0 {
-		t.Fatalf("sink fired while spans disabled: %+v", got)
-	}
-
-	tr.EnableSpans(true)
-	tr.Span(SpanDisplace, "t.a", 3, 2)
-	tr.Span(SpanPageComplete, "t.a", 4, 7)
+	tr.Span(SpanDisplace, "t.a", 3, 2, "")
+	tr.Span(SpanPageComplete, "t.a", 4, 7, "")
 	if len(got) != 2 {
 		t.Fatalf("sink saw %d spans, want 2", len(got))
 	}
@@ -376,7 +407,7 @@ func TestSpanSink(t *testing.T) {
 	}
 
 	tr.SetSpanSink(nil)
-	tr.Span(SpanMissAdmit, "t.a", -1, 0)
+	tr.Span(SpanMissAdmit, "t.a", -1, 0, "")
 	if len(got) != 2 {
 		t.Errorf("sink fired after detach: %d spans", len(got))
 	}

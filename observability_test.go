@@ -63,13 +63,13 @@ func TestDBTraceEvents(t *testing.T) {
 	// The miss on b runs a fresh indexing scan, so the enabled path sees
 	// the full span sequence: admission, leadership, page selection and
 	// page completion.
-	db.EnableTraceEvents(true)
+	db.Observe(true)
 	if _, _, err := tb.Query("b", 70); err != nil {
 		t.Fatal(err)
 	}
 	events := db.TraceEvents()
 	if len(events) == 0 {
-		t.Fatal("no trace events after EnableTraceEvents(true)")
+		t.Fatal("no trace events after Observe(true)")
 	}
 	kinds := make(map[string]bool)
 	for _, ev := range events {
@@ -148,7 +148,7 @@ func execOK(t *testing.T, db *DB, stmt string) ExecResult {
 func TestFlightRecorderE2E(t *testing.T) {
 	db := MustOpen(Options{DataDir: t.TempDir()})
 	defer db.Close()
-	db.EnableFlightRecorder(time.Hour) // capture everything, nothing is "slow" yet
+	db.Observe(true)
 
 	execOK(t, db, "CREATE TABLE t (a INT, b VARCHAR)")
 	execOK(t, db, "CREATE PARTIAL INDEX ON t (a) COVERING 1 TO 20")
@@ -188,58 +188,134 @@ func TestFlightRecorderE2E(t *testing.T) {
 		t.Fatalf("FlightRecords(trace) = %+v, want exactly the SELECT", byTrace)
 	}
 
-	// Drop the threshold to 1ns: the next statement is captured as slow
-	// and SHOW SLOW renders it.
-	db.EnableFlightRecorder(1)
-	execOK(t, db, "SELECT * FROM t WHERE a = 5") // hit
-	slow := db.SlowQueries(0)
-	if len(slow) == 0 {
-		t.Fatal("no slow captures at a 1ns threshold")
+	if st := db.FlightStats(); !st.Enabled || st.Completed < 123 {
+		t.Errorf("FlightStats = %+v", st)
 	}
-	out := execOK(t, db, "SHOW SLOW 5").Output
-	if !strings.Contains(out, "SELECT * FROM t WHERE a = 5") {
+
+	// A statement of at least the 10ms slow threshold is captured as slow
+	// and SHOW SLOW renders it: with a 2-page pool and 1ms per device
+	// read, a full scan of 16 pages takes at least 16ms.
+	sdb := MustOpen(Options{PoolPages: 2, ReadLatency: time.Millisecond})
+	defer sdb.Close()
+	sdb.Observe(true)
+	stb, err := sdb.CreateTable("s", Int64Column("a"), StringColumn("pad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("p", 500)
+	for i := 0; i < 256; i++ {
+		if _, err := stb.Insert(int64(i), pad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := stb.NumPages(); n < 16 {
+		t.Fatalf("slow table has %d pages, want >= 16", n)
+	}
+	execOK(t, sdb, "SELECT * FROM s WHERE a = 5") // no index: full scan
+	if len(sdb.SlowQueries(0)) == 0 {
+		t.Fatal("no slow capture of a >= 16ms statement")
+	}
+	out := execOK(t, sdb, "SHOW SLOW 5").Output
+	if !strings.Contains(out, "SELECT * FROM s WHERE a = 5") {
 		t.Errorf("SHOW SLOW does not list the slow SELECT:\n%s", out)
 	}
 	if !strings.Contains(out, "trace") || !strings.Contains(out, "wal_ms") {
 		t.Errorf("SHOW SLOW header missing:\n%s", out)
 	}
-
-	st := db.FlightStats()
-	if !st.Enabled || st.Completed < 123 || st.Slow == 0 {
+	if st := sdb.FlightStats(); !st.Enabled || st.Slow == 0 {
 		t.Errorf("FlightStats = %+v", st)
 	}
 }
 
-// TestFlightRecorderDisabledInert mirrors TestTimelineDisabledIsInert
-// at the statement layer: with the recorder off (the default), Exec
-// leaves no records and no counters behind.
-func TestFlightRecorderDisabledInert(t *testing.T) {
-	db := newObsDB(t)
+// TestObserveRoundTrip drives the one observation switch through the
+// statement API. Off (the default), Exec leaves no flight record,
+// counter, span or timeline sample behind and SHOW SLOW reports the
+// recorder off. After Observe(true) an uncovered SELECT leaves spans in
+// the global ring, a timeline series, and a flight record whose spans
+// include page-select and page-complete — each event recorded once, in
+// the ring under the record's trace ID and in the record. After
+// Observe(false) none of the three grows.
+func TestObserveRoundTrip(t *testing.T) {
+	db := MustOpen(Options{})
 	defer db.Close()
-	if db.FlightRecorderEnabled() {
-		t.Fatal("flight recorder enabled by default")
+	tb, err := db.CreateTable("t", Int64Column("a"), Int64Column("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if _, err := tb.Insert(int64(i%100), int64(i%100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, col := range []string{"a", "b"} {
+		if err := tb.CreatePartialRangeIndex(col, 0, 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	samples := func() (n int) {
+		for _, ser := range db.Timeline() {
+			n += len(ser.Samples)
+		}
+		return n
+	}
+
+	if db.Observing() {
+		t.Fatal("observation on by default")
 	}
 	execOK(t, db, "SELECT * FROM t WHERE a = 5")
 	if n := len(db.RecentQueries(0)); n != 0 {
-		t.Fatalf("disabled recorder captured %d records", n)
+		t.Fatalf("recorder captured %d records while off", n)
 	}
 	if st := db.FlightStats(); st.Enabled || st.Completed != 0 {
-		t.Fatalf("disabled recorder counted: %+v", st)
+		t.Fatalf("recorder counted while off: %+v", st)
 	}
-	out := execOK(t, db, "SHOW SLOW").Output
-	if !strings.Contains(out, "off") {
-		t.Errorf("SHOW SLOW with recorder off = %q, want an off notice", out)
+	if n, m := len(db.TraceEvents()), samples(); n != 0 || m != 0 {
+		t.Fatalf("%d spans, %d timeline samples while off", n, m)
+	}
+	if out := execOK(t, db, "SHOW SLOW").Output; !strings.Contains(out, "off") {
+		t.Errorf("SHOW SLOW while off = %q, want an off notice", out)
 	}
 
-	// Enable/disable round-trip: records stop accruing after Disable.
-	db.EnableFlightRecorder(0)
-	execOK(t, db, "SELECT * FROM t WHERE a = 6")
-	if n := len(db.RecentQueries(0)); n != 1 {
-		t.Fatalf("enabled recorder captured %d records, want 1", n)
+	db.Observe(true)
+	if !db.Observing() || !db.FlightStats().Enabled {
+		t.Fatal("Observe(true) did not turn observation on")
 	}
-	db.DisableFlightRecorder()
-	execOK(t, db, "SELECT * FROM t WHERE a = 7")
-	if n := len(db.RecentQueries(0)); n != 1 {
-		t.Fatalf("disable did not stop capture: %d records", n)
+	execOK(t, db, "SELECT * FROM t WHERE a = 60") // uncovered: indexing scan
+	recs := db.RecentQueries(0)
+	if len(recs) != 1 {
+		t.Fatalf("recorder captured %d records, want 1", len(recs))
+	}
+	rec := recs[0]
+	kinds := make(map[string]int)
+	for _, sp := range rec.Spans {
+		kinds[sp.Kind]++
+	}
+	if kinds["page-select"] != 1 || kinds["page-complete"] == 0 {
+		t.Errorf("flight record spans = %v, want one page-select and page-completes", kinds)
+	}
+	traced := 0
+	for _, ev := range db.TraceEvents() {
+		if ev.Trace == rec.Trace {
+			traced++
+		}
+	}
+	if traced == 0 || traced != len(rec.Spans) {
+		t.Errorf("%d ring spans carry trace %q, the record holds %d", traced, rec.Trace, len(rec.Spans))
+	}
+	if len(db.Timeline()) == 0 {
+		t.Error("no timeline series after an observed query")
+	}
+
+	db.Observe(false)
+	spans, sampled, records := len(db.TraceEvents()), samples(), len(db.RecentQueries(0))
+	execOK(t, db, "SELECT * FROM t WHERE b = 60") // a fresh indexing scan
+	if n := len(db.TraceEvents()); n != spans {
+		t.Errorf("span ring grew %d -> %d after Observe(false)", spans, n)
+	}
+	if n := samples(); n != sampled {
+		t.Errorf("timeline grew %d -> %d samples after Observe(false)", sampled, n)
+	}
+	if n := len(db.RecentQueries(0)); n != records {
+		t.Errorf("flight records grew %d -> %d after Observe(false)", records, n)
 	}
 }

@@ -290,7 +290,7 @@ func TestStrictTenantQuotaError(t *testing.T) {
 func TestTimelineTenantFilter(t *testing.T) {
 	db := MustOpen(Options{Tenants: []Tenant{{Name: "acme"}}})
 	defer db.Close()
-	db.EnableTimeline(true)
+	db.Observe(true)
 
 	acme, err := db.Session("acme")
 	if err != nil {
@@ -355,6 +355,56 @@ func TestTimelineTenantFilter(t *testing.T) {
 	for _, s := range deflt.Series {
 		if strings.Contains(s.Table, ":") {
 			t.Errorf("?tenant=<default> leaked table %q", s.Table)
+		}
+	}
+}
+
+// TestTimelineTenantShowVerbs pins tenant scoping of the shell's SHOW
+// verbs: acme's table, buffer, query stats and timeline never appear in
+// tiny's session but do in acme's own, and the default session still
+// sees every tenant's stats and timeline.
+func TestTimelineTenantShowVerbs(t *testing.T) {
+	db := MustOpen(Options{Tenants: []Tenant{{Name: "acme"}, {Name: "tiny"}}})
+	defer db.Close()
+	db.Observe(true)
+	ctx := context.Background()
+	acme, err := db.Session("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny, err := db.Session("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		"CREATE TABLE secret (salary INT)",
+		"INSERT INTO secret VALUES (1), (50), (99)",
+		"CREATE PARTIAL INDEX ON secret (salary) COVERING 0 TO 10",
+		"SELECT * FROM secret WHERE salary = 50",
+	} {
+		if _, err := acme.Exec(ctx, stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	show := func(exec func(context.Context, string) (ExecResult, error), verb string) string {
+		t.Helper()
+		r, err := exec(ctx, "SHOW "+verb)
+		if err != nil {
+			t.Fatalf("SHOW %s: %v", verb, err)
+		}
+		return r.Output
+	}
+	for _, verb := range []string{"TABLES", "BUFFERS", "STATS", "TIMELINE"} {
+		if out := show(tiny.Exec, verb); strings.Contains(out, "secret") {
+			t.Errorf("tiny's SHOW %s leaks acme's table:\n%s", verb, out)
+		}
+		if out := show(acme.Exec, verb); !strings.Contains(out, "secret") {
+			t.Errorf("acme's SHOW %s misses its own table:\n%s", verb, out)
+		}
+	}
+	for _, verb := range []string{"STATS", "TIMELINE"} {
+		if out := show(db.Exec, verb); !strings.Contains(out, "acme:secret.salary") {
+			t.Errorf("default SHOW %s lost acme's column:\n%s", verb, out)
 		}
 	}
 }
