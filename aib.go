@@ -738,7 +738,8 @@ func (db *DB) BufferStats() []BufferStats {
 func (db *DB) SpaceUsed() int { return db.eng.Space().Used() }
 
 // SharedScanStats reports the scan-sharing counters: how many queries
-// missed into the indexing-scan path, how many Algorithm-1 passes
+// missed into the indexing-scan path (a miss answered lock-free from a
+// complete Index Buffer does not), how many Algorithm-1 passes
 // actually ran, and how many scans coalescing saved; see
 // metrics.SharedScanStats.
 type SharedScanStats = metrics.SharedScanStats
@@ -975,8 +976,9 @@ func (db *DB) WALStats() WALStats { return db.eng.WALStats() }
 // EpochStats reports the epoch-based lock-free read path's health: the
 // reclamation domain's state (current epoch, pinned readers, retired
 // backlog, reclaimed total, reclamation lag) plus the fast-path
-// counters (queries served lock-free, attempts that fell back to the
-// locked path). A quiescent database reports a drained backlog; see
+// counters (queries served lock-free — hits, and misses answered from
+// a complete Index Buffer — and attempts that fell back to the locked
+// path). A quiescent database reports a drained backlog; see
 // engine.EpochStats.
 type EpochStats = engine.EpochStats
 

@@ -184,6 +184,8 @@ func TestEpochSerialOracleBattery(t *testing.T) {
 					diffCounters(t, op, oracle, subject)
 				}
 
+				completeBufferPhase(t, oracle, subject, rng, keyDomain, &nextRow)
+
 				// The subject actually exercised the lock-free path.
 				oes, ses := oracle.db.EpochStats(), subject.db.EpochStats()
 				if oes.FastHits != 0 {
@@ -196,5 +198,78 @@ func TestEpochSerialOracleBattery(t *testing.T) {
 				drainEpochs(t, subject)
 			})
 		}
+	}
+}
+
+// completeBufferPhase ends a battery run with the subject's Index
+// Buffer complete. Both engines' indexes are widened until the
+// uncovered tuples fit the space limit; one miss then indexes every
+// page. From there on, uncovered points and ranges straddling coverage
+// — interleaved with inserts, which keep a buffered page's entries
+// current — must be answered from the buffer on the subject's lock-free
+// path with results and stats identical to the locked oracle's, and
+// must never reach the subject's scan admission.
+func completeBufferPhase(t *testing.T, oracle, subject *oracleHarness, rng *rand.Rand, keyDomain int, nextRow *int) {
+	t.Helper()
+	const (
+		ops        = 60
+		minAnswers = 30
+	)
+	coveredHi := keyDomain - 5
+	for _, h := range []*oracleHarness{oracle, subject} {
+		if err := h.tb.RedefineRangeIndex("k", 0, coveredHi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sr, ss, se := oracle.tb.Query("k", int64(keyDomain-1))
+	pr, ps, pe := subject.tb.Query("k", int64(keyDomain-1))
+	diffQuery(t, "complete-buffer warm-up", sr, pr, ss, ps, se, pe)
+	st := subject.tb.t
+	if !st.Buffer(0).CounterSnapshot().Complete(st.NumPages()) {
+		t.Fatal("warm-up miss left the subject's buffer incomplete")
+	}
+	hits0, misses0 := subject.db.EpochStats().FastHits, subject.db.SharedScanStats().Misses
+	answers := 0
+	for i := 0; i < ops; i++ {
+		var op string
+		if c := rng.Intn(4); c == 0 {
+			k := int64(rng.Intn(keyDomain))
+			op = fmt.Sprintf("complete-buffer op %d: insert k=%d", i, k)
+			pad := fmt.Sprintf("pad-%04d-%0160d", *nextRow, *nextRow)
+			sr, se := oracle.tb.Insert(k, int64(*nextRow), pad)
+			pr, pe := subject.tb.Insert(k, int64(*nextRow), pad)
+			*nextRow++
+			if se != nil || pe != nil || sr != pr {
+				t.Fatalf("%s: oracle (%v, %v), subject (%v, %v)", op, sr, se, pr, pe)
+			}
+			oracle.rids = append(oracle.rids, sr)
+			subject.rids = append(subject.rids, pr)
+		} else {
+			lo := int64(coveredHi + 1 + rng.Intn(keyDomain-coveredHi))
+			hi := lo
+			if c == 1 {
+				lo -= int64(1 + rng.Intn(4)) // straddles coverage
+			}
+			op = fmt.Sprintf("complete-buffer op %d: range [%d,%d]", i, lo, hi)
+			if st.Buffer(0).CounterSnapshot().Complete(st.NumPages()) {
+				answers++
+			}
+			sr, ss, se := oracle.tb.QueryRange("k", lo, hi)
+			pr, ps, pe := subject.tb.QueryRange("k", lo, hi)
+			diffQuery(t, op, sr, pr, ss, ps, se, pe)
+			if ps.PagesSkipped != st.NumPages() || ps.ScanWorkers != 0 || ps.PagesSelected != 0 {
+				t.Fatalf("%s: stats %+v, want every page skipped and no scan", op, ps)
+			}
+		}
+		diffCounters(t, op, oracle, subject)
+	}
+	if answers < minAnswers {
+		t.Fatalf("subject's buffer complete for only %d uncovered queries, want >= %d", answers, minAnswers)
+	}
+	if served := subject.db.EpochStats().FastHits - hits0; served < uint64(answers) {
+		t.Errorf("subject served %d of %d complete-buffer misses lock-free", served, answers)
+	}
+	if admitted := subject.db.SharedScanStats().Misses - misses0; admitted != 0 {
+		t.Errorf("%d complete-buffer misses entered scan admission", admitted)
 	}
 }

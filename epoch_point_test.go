@@ -122,10 +122,10 @@ func rowKeys(t *testing.T, rows []Row) []string {
 }
 
 // TestEpochFastPointAllocs pins the allocation cost of a covered point
-// query served by the epoch fast path. Routed through the range path it
-// must allocate no more than the dedicated point path it replaced did:
-// 16 allocations for this four-row result, which the range path would
-// exceed by copying the key's posting list.
+// query served by the epoch fast path: 12 allocations for this four-row
+// result — the sorted RID copy, the presized match slice and the
+// decoded tuples. Distinct pages are counted by walking the sorted RIDs,
+// so no per-query page set is allocated.
 func TestEpochFastPointAllocs(t *testing.T) {
 	db := MustOpen(Options{})
 	defer db.Close()
@@ -153,8 +153,54 @@ func TestEpochFastPointAllocs(t *testing.T) {
 	if hits := db.EpochStats().FastHits - before; hits != 201 {
 		t.Fatalf("fast path served %d of 201 queries", hits)
 	}
-	const maxAllocs = 16
+	const maxAllocs = 12
 	if allocs > maxAllocs {
 		t.Fatalf("covered point query allocates %.1f times, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// TestEpochFastBufferAllocs is TestEpochFastPointAllocs for an uncovered
+// point once the Index Buffer is complete: the miss is answered from the
+// buffer on the lock-free path — no admission, no table lock, no page
+// walk — for the same allocation budget as a covered hit.
+func TestEpochFastBufferAllocs(t *testing.T) {
+	db := MustOpen(Options{})
+	defer db.Close()
+	tb, err := db.CreateTable("t", Int64Column("a"), StringColumn("s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := tb.Insert(int64(i%50), "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.CreatePartialRangeIndex("a", 0, 10); err != nil {
+		t.Fatal(err)
+	}
+	et := db.eng.Table("t")
+	ctx := context.Background()
+	key := storage.Int64Value(25)
+	// The first miss indexes every page (default I^MAX) through a
+	// shared scan; from then on the buffer is complete.
+	if _, stats, err := et.QueryRangeCtx(ctx, 0, key, key); err != nil || stats.PagesSelected != et.NumPages() {
+		t.Fatalf("warm-up miss: %+v, %v", stats, err)
+	}
+	before := db.EpochStats().FastHits
+	allocs := testing.AllocsPerRun(200, func() {
+		m, stats, err := et.QueryRangeCtx(ctx, 0, key, key)
+		if err != nil || len(m) != 4 || stats.BufferMatches != 4 || stats.PagesSkipped != et.NumPages() {
+			t.Fatalf("buffered point query: %d matches, %+v, %v", len(m), stats, err)
+		}
+	})
+	if hits := db.EpochStats().FastHits - before; hits != 201 {
+		t.Fatalf("fast path served %d of 201 buffered misses", hits)
+	}
+	if misses := db.SharedScanStats().Misses; misses != 1 {
+		t.Fatalf("%d misses admitted to a shared scan, want only the warm-up", misses)
+	}
+	const maxAllocs = 12
+	if allocs > maxAllocs {
+		t.Fatalf("buffered point miss allocates %.1f times, want <= %d", allocs, maxAllocs)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // TestEpochReaderWriterConvoy is the convoy-elimination stress test: a
@@ -210,4 +212,153 @@ func TestEpochReaderWriterConvoy(t *testing.T) {
 	if es.RetiredBacklog != 0 {
 		t.Errorf("retired-snapshot backlog stuck at %d (lag %d epochs)", es.RetiredBacklog, es.ReclamationLag)
 	}
+}
+
+// TestEpochBufferDisplacementRace covers the one hazard of answering a
+// miss from a complete Index Buffer on the lock-free path: displacement
+// on behalf of another table drops the buffer's partitions without
+// touching the owning table's seqlock. Tables a and b share a binding
+// SpaceLimit — a's complete buffer fits alone, not beside b's. Readers
+// hammer a's uncovered keys (points and ranges straddling coverage)
+// while the test goroutine cycles: misses on b until b's indexing scan
+// displaces part of a's buffer, a reset of b's buffer (index
+// redefinition) to free the space, and a miss on a that completes a's
+// buffer again. Every
+// answer must equal the model's row set; the fast path must re-check
+// the counter snapshot's identity, not just the table's seq, or a
+// reader that found the buffer complete can answer from partitions
+// dropped under it.
+func TestEpochBufferDisplacementRace(t *testing.T) {
+	const (
+		rows    = 400
+		domain  = 40
+		covered = 4 // a covers keys [0,3]: nine in ten rows are buffer entries
+		cycles  = 100
+		readers = 3
+	)
+	// A one-deep LRU-K history makes b's benefit current from its first
+	// miss of a cycle, so b's scans win the competition for space.
+	db := MustOpen(Options{SpaceLimit: 380, PartitionPages: 4, HistoryDepth: 1, PoolPages: 128, Seed: 3})
+	defer db.Close()
+	pad := fmt.Sprintf("%0300d", 0)
+	ta, err := db.CreateTable("a", Int64Column("k"), StringColumn("pad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[int64][]string{} // key → RIDs, in RID order
+	for i := 0; i < rows; i++ {
+		k := int64(i % domain)
+		rid, err := ta.Insert(k, pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model[k] = append(model[k], rid.String())
+	}
+	// b's uncovered entries (keys 100..103) are one in every eleven rows,
+	// so b's pages are cheap to index: its scans outbid a's partitions.
+	tbB, err := db.CreateTable("b", Int64Column("k"), StringColumn("pad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		k := int64(i % domain)
+		if i%11 == 0 {
+			k = 100 + int64(i%4)
+		}
+		if _, err := tbB.Insert(k, pad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ta.CreatePartialRangeIndex("k", 0, covered-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbB.CreatePartialRangeIndex("k", 0, domain-1); err != nil {
+		t.Fatal(err)
+	}
+	ea := db.eng.Table("a")
+	complete := func() bool { return ea.Buffer(0).CounterSnapshot().Complete(ea.NumPages()) }
+	want := func(lo, hi int64) []string {
+		var out []string
+		for k := lo; k <= hi; k++ {
+			out = append(out, model[k]...)
+		}
+		sort.Strings(out)
+		return out
+	}
+	if _, _, err := ta.Query("k", int64(domain-1)); err != nil || !complete() {
+		t.Fatalf("warm-up miss left a's buffer incomplete (err %v)", err)
+	}
+
+	// Count the partitions b's scans drop from a's buffer.
+	var drops atomic.Int64
+	db.eng.Tracer().SetSpanSink(func(s trace.Span) {
+		if s.Kind == trace.SpanDisplace && s.Target == "a.k" {
+			drops.Add(1)
+		}
+	})
+	db.eng.Observe(true)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				lo := int64(covered + (r*13+i*7)%(domain-covered))
+				hi := lo
+				if i%3 == 0 {
+					lo, hi = lo-covered, lo // straddles coverage: index postings recovered too
+				}
+				rows, _, err := ta.QueryRange("k", lo, hi)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := make([]string, len(rows))
+				for j, row := range rows {
+					got[j] = row.RID.String()
+				}
+				sort.Strings(got)
+				if w := want(lo, hi); fmt.Sprint(got) != fmt.Sprint(w) {
+					t.Errorf("reader %d [%d,%d]: %d rows, model has %d", r, lo, hi, len(got), len(w))
+					stop.Store(true)
+					return
+				}
+			}
+		}(r)
+	}
+
+	displaced := 0
+	for c := 0; c < cycles && !stop.Load(); c++ {
+		if !complete() {
+			if _, _, err := ta.Query("k", int64(domain-1)); err != nil { // completes a again
+				t.Fatal(err)
+			}
+		}
+		before := drops.Load()
+		for j := 0; j < 40 && drops.Load() == before; j++ {
+			if _, _, err := tbB.Query("k", int64(100+j%4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if drops.Load() > before {
+			displaced++
+		}
+		if err := tbB.RedefineRangeIndex("k", 0, domain-1); err != nil { // frees b's entries
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if displaced < cycles/2 {
+		t.Fatalf("b displaced a's buffer in %d of %d cycles; the race was not exercised", displaced, cycles)
+	}
+	if hits := db.EpochStats().FastHits; hits == 0 {
+		t.Fatal("no buffer answer served lock-free")
+	}
+	t.Logf("displaced %d/%d cycles, fast hits %d, fallbacks %d", displaced, cycles, db.EpochStats().FastHits, db.EpochStats().Fallbacks)
 }

@@ -75,6 +75,7 @@ type IndexBuffer struct {
 // convention for unknown pages.
 type CounterSnap struct {
 	counters []int32
+	open     int // pages with C[p] > 0
 }
 
 // At returns the snapshot's C[p].
@@ -93,6 +94,14 @@ func (s *CounterSnap) NumPages() int {
 	return len(s.counters)
 }
 
+// Complete reports whether the snapshot spans numPages table pages and
+// every one of them has C[p] == 0 — the state in which Algorithm 1
+// selects nothing and skips every page, so a miss is answered by the
+// Index Buffer (plus, for a range, the partial index) alone. O(1).
+func (s *CounterSnap) Complete(numPages int) bool {
+	return s != nil && s.open == 0 && len(s.counters) >= numPages
+}
+
 // CounterSnapshot returns the buffer's current published counter
 // snapshot without taking any lock. Callers that outlive a single
 // load — an indexing scan consulting the snapshot page by page — must
@@ -107,12 +116,14 @@ func (b *IndexBuffer) CounterSnapshot() *CounterSnap { return b.snap.Load() }
 // precede it.
 func (b *IndexBuffer) publishCountersLocked() {
 	c := make([]int32, len(b.uncovered))
+	open := 0
 	for p := range b.uncovered {
-		if _, buffered := b.byPage[storage.PageID(p)]; !buffered {
+		if _, buffered := b.byPage[storage.PageID(p)]; !buffered && b.uncovered[p] > 0 {
 			c[p] = int32(b.uncovered[p])
+			open++
 		}
 	}
-	old := b.snap.Swap(&CounterSnap{counters: c})
+	old := b.snap.Swap(&CounterSnap{counters: c, open: open})
 	if old != nil && b.space != nil && b.space.epochs != nil {
 		b.space.epochs.Retire(func() { old.counters = nil })
 	}
@@ -357,6 +368,7 @@ func (b *IndexBuffer) benefitLocked() float64 {
 // Lookup returns the RIDs of buffered tuples with the given key,
 // collected across all partitions — the "Index Buffer scan" of
 // Algorithm 1 (lines 8–10).
+// The result is a fresh slice the caller owns.
 func (b *IndexBuffer) Lookup(key storage.Value) []storage.RID {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -385,6 +397,7 @@ type enumerator interface {
 // structural trade-off the paper alludes to when it permits a hash table
 // as the buffer structure. A point range [k, k] probes each structure
 // directly instead, so a hash-backed miss never enumerates the buffer.
+// The result is a fresh slice the caller owns.
 func (b *IndexBuffer) LookupRange(lo, hi storage.Value) []storage.RID {
 	if lo.Equal(hi) {
 		return b.Lookup(lo)

@@ -884,7 +884,9 @@ func (t *Table) QueryEqualCtx(ctx context.Context, column int, key storage.Value
 // whole interval. A long indexing or full scan checks ctx between page
 // reads and returns ctx.Err().
 //
-// Locking: the query is first planned under the table's read lock. A
+// Locking: the epoch read path (readpath.go) first tries to answer
+// without any lock — a hit, or a miss a complete Index Buffer answers.
+// Otherwise the query is planned under the table's read lock. A
 // partial-index hit or a plain full scan executes right there — multiple
 // such readers run in parallel, and no engine-wide exclusive lock is
 // taken. Only a buffer miss that needs an indexing scan (a mutation of
@@ -908,8 +910,9 @@ func (t *Table) queryRangeCtx(ctx context.Context, column int, lo, hi storage.Va
 		return nil, exec.QueryStats{}, err
 	}
 
-	// Epoch-based lock-free hit path first; only probes the immutable
-	// snapshots cannot answer fall through to the lock (readpath.go).
+	// Epoch-based lock-free path first — hits, and misses a complete
+	// Index Buffer answers; only probes the immutable snapshots cannot
+	// answer fall through to the lock (readpath.go).
 	if !t.engine.cfg.DisableEpochReadPath {
 		if m, stats, ok := t.fastQuery(ctx, column, lo, hi); ok {
 			return m, stats, nil

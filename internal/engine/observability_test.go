@@ -7,10 +7,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/trace"
 )
+
+// scanningMisses caps each indexing scan at two pages (I^MAX), so none
+// of runMixedQueries' misses completes the buffer: every one still
+// needs an Algorithm-1 pass rather than the complete-buffer answer.
+var scanningMisses = Config{Space: core.Config{IMax: 2}}
 
 // runMixedQueries drives hits (covered keys) and misses (uncovered keys,
 // triggering indexing scans) through the table so every monitor has data.
@@ -97,7 +103,7 @@ func TestObserveGateInert(t *testing.T) {
 }
 
 func TestWriteMetrics(t *testing.T) {
-	e, tb := newABC(t, Config{}, 2000, 100)
+	e, tb := newABC(t, scanningMisses, 2000, 100)
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 50)); err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +137,50 @@ func TestWriteMetrics(t *testing.T) {
 	}
 }
 
+// TestEpochBufferAnswerMetrics is runMixedQueries on a buffer the first
+// miss completes (default I^MAX indexes every page): that miss is the
+// only one admitted to a shared scan; the other ten are answered from
+// the complete buffer on the lock-free path — no admission span, no
+// scan fan-out — and count as fast hits while keeping the
+// indexing-scan mechanism.
+func TestEpochBufferAnswerMetrics(t *testing.T) {
+	e, tb := newABC(t, Config{}, 2000, 100)
+	if err := tb.CreatePartialIndex(0, index.IntRange(1, 50)); err != nil {
+		t.Fatal(err)
+	}
+	e.Observe(true)
+	runMixedQueries(t, tb)
+
+	kinds := make(map[string]int)
+	for _, s := range e.Tracer().Spans(1 << 20) {
+		kinds[s.Kind]++
+	}
+	if kinds[trace.SpanMissAdmit] != 1 || kinds[trace.SpanScanLead] != 1 {
+		t.Errorf("miss-admit/scan-lead spans = %d/%d, want 1/1", kinds[trace.SpanMissAdmit], kinds[trace.SpanScanLead])
+	}
+	if ps := e.ParallelScanStats(); kinds["scan-parallel"] != int(ps.Scans) || ps.Scans > 1 {
+		t.Errorf("scan-parallel spans = %d, parallel scans = %d, want at most the first miss's", kinds["scan-parallel"], ps.Scans)
+	}
+	var sb strings.Builder
+	if err := e.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		"aib_shared_scan_misses_total 1\n",
+		"aib_shared_scan_passes_total 1\n",
+		"aib_epoch_fast_hits_total 20\n",
+		"aib_epoch_fallbacks_total 0\n",
+		`aib_queries_total{table="flights",column="a"} 21`,
+		`aib_query_latency_microseconds_count{mechanism="hit"} 10`,
+		`aib_query_latency_microseconds_count{mechanism="indexing-scan"} 11`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("metrics output missing %q", want)
+		}
+	}
+}
+
 func TestMetricsLabelEscaping(t *testing.T) {
 	if got := escapeLabel("a\\b\"c\nd"); got != `a\\b\"c\nd` {
 		t.Errorf("escapeLabel = %q", got)
@@ -138,7 +188,7 @@ func TestMetricsLabelEscaping(t *testing.T) {
 }
 
 func TestSpansThroughEngine(t *testing.T) {
-	e, tb := newABC(t, Config{}, 2000, 100)
+	e, tb := newABC(t, scanningMisses, 2000, 100)
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 50)); err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,10 @@ import (
 // every synchronous write. Now a read pins an epoch, resolves the probe
 // against immutable snapshots (the partial index's atomic
 // coverage+tree state, the heap via the published readState), and
-// validates a per-table sequence counter; only probes the snapshots
-// cannot answer — buffer misses needing an indexing scan, torn reads —
-// fall back to the locked path.
+// validates a per-table sequence counter. Once the buffer has indexed
+// every page, a miss is answered the same way, from the Index Buffer
+// alone. Only probes the snapshots cannot answer — misses needing an
+// indexing scan, torn reads — fall back to the locked path.
 //
 // The protocol is a seqlock over immutable snapshots:
 //
@@ -45,7 +46,11 @@ import (
 //     probe is identical to one executed under the read lock — at
 //     which point the side effects (probe counter, LRU-K history,
 //     tracer, timeline) are applied exactly once, through the same
-//     internally synchronized structures the locked path uses.
+//     internally synchronized structures the locked path uses. A
+//     buffer answer also re-checks the identity of the buffer's
+//     counter snapshot: displacement on behalf of another table drops
+//     partitions without touching this table's seq, but republishes
+//     that snapshot.
 //   - The epoch pin (Space.PinEpoch) covers reclamation, not
 //     atomicity: retired snapshots — displaced counter arrays, and any
 //     other epoch-retired object — are freed only after every reader
@@ -149,11 +154,14 @@ type EpochStats struct {
 	// ReclamationLag is the age in epochs of the oldest unreclaimed
 	// retire (0 when the limbo list is empty).
 	ReclamationLag uint64 `json:"reclamation_lag"`
-	// FastHits counts queries fully served by the lock-free path.
+	// FastHits counts queries fully served by the lock-free path:
+	// partial-index hits, empty ranges, and misses answered from a
+	// complete Index Buffer.
 	FastHits uint64 `json:"fast_hits"`
 	// Fallbacks counts queries that attempted the lock-free path and
 	// fell back to the locked path for a reason other than needing an
-	// indexing scan (seqlock contention, heap fault).
+	// indexing scan or the tenant's quota gate (seqlock or
+	// counter-snapshot contention, heap fault).
 	Fallbacks uint64 `json:"fallbacks"`
 }
 
@@ -177,11 +185,17 @@ func (e *Engine) EpochStats() EpochStats {
 // assert reclamation).
 func (e *Engine) EpochDomain() *epoch.Domain { return e.epochs }
 
-// fastQuery attempts lo <= column <= hi on the lock-free read path. ok
-// reports success; on false the caller runs the locked path, which also
-// owns all error reporting (the fast path never surfaces errors — a
-// validated heap fault falls back so the locked path reproduces it
-// under the lock).
+// fastQuery attempts lo <= column <= hi on the lock-free read path. It
+// answers two cases: a partial-index hit, and a miss on a column whose
+// Index Buffer is complete (every table page has C[p] == 0), which the
+// buffer — plus, for a range, the index postings on skipped pages —
+// answers alone (exec.AnswerFromBuffer). Every other miss needs the
+// indexing-scan machinery and declines, as does a miss of an
+// over-quota tenant, whose strict error or degraded read-only pass the
+// admission gate owns. ok reports success; on false the caller runs
+// the locked path, which also owns all error reporting (the fast path
+// never surfaces errors — a validated heap fault falls back so the
+// locked path reproduces it under the lock).
 func (t *Table) fastQuery(ctx context.Context, column int, lo, hi storage.Value) (m []exec.Match, stats exec.QueryStats, ok bool) {
 	e := t.engine
 	if t.checkColumn(column) != nil {
@@ -215,11 +229,30 @@ func (t *Table) fastQuery(ctx context.Context, column int, lo, hi storage.Value)
 			return nil, exec.QueryStats{}, false // no index: the locked path decides
 		}
 		snap := ix.Snapshot()
-		if !snap.CoversRange(lo, hi) {
-			return nil, exec.QueryStats{}, false // miss: needs the indexing-scan machinery
+		buf := rs.buffers[column]
+		hit := snap.CoversRange(lo, hi)
+		var cs *core.CounterSnap
+		var matches []exec.Match
+		var stats exec.QueryStats
+		var probed bool
+		var err error
+		if hit {
+			matches, stats, err = exec.FetchHit(exec.Access{Table: rs.heap, Column: column}, lo, snap.LookupRange(lo, hi))
+		} else {
+			if buf == nil || ctx.Err() != nil || t.tenant != nil && t.tenant.OverQuota() {
+				return nil, exec.QueryStats{}, false // the locked path's scan, error or degradation
+			}
+			numPages := rs.heap.NumPages()
+			if cs = buf.CounterSnapshot(); !cs.Complete(numPages) {
+				return nil, exec.QueryStats{}, false // miss: needs the indexing-scan machinery
+			}
+			matches, stats, probed, err = exec.AnswerFromBuffer(exec.Access{Table: rs.heap, Column: column, Buffer: buf}, lo, hi, numPages, &snap)
 		}
-		matches, stats, err := exec.FetchHit(exec.Access{Table: rs.heap, Column: column}, lo, snap.LookupRange(lo, hi))
-		if t.seq.Load() != s1 {
+		// seq covers DML and DDL on this table. Displacement on behalf of
+		// another table's scan drops this buffer's partitions without
+		// touching seq, but always republishes the counter snapshot — so
+		// an unchanged snapshot proves the buffer answer saw it complete.
+		if t.seq.Load() != s1 || cs != nil && buf.CounterSnapshot() != cs {
 			attempt++
 			continue // a mutator overlapped the probe; everything read is suspect
 		}
@@ -230,11 +263,13 @@ func (t *Table) fastQuery(ctx context.Context, column int, lo, hi storage.Value)
 			e.fastFallbacks.Add(1)
 			return nil, exec.QueryStats{}, false
 		}
-		// Apply the validated hit's side effects — exactly the ones the
-		// locked hit path performs, through the same internally
-		// synchronized structures, exactly once.
-		snap.NoteProbe()
-		e.space.OnQuery(rs.buffers[column], true) // Table II: a hit only advances the query clock
+		// Apply the validated answer's side effects — exactly the ones the
+		// locked path performs, through the same internally synchronized
+		// structures, exactly once.
+		if hit || probed {
+			snap.NoteProbe()
+		}
+		e.space.OnQuery(buf, hit) // Table II: a hit only advances the query clock
 		stats.Duration = time.Since(start)
 		t.observe(ctx, column, stats, false)
 		e.fastHits.Add(1)

@@ -18,8 +18,9 @@
 package exec
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -64,7 +65,9 @@ type QueryStats struct {
 	// ScanWorkers is the number of goroutines the table-scan stage fanned
 	// out to: 1 for the serial path, >1 when the scan ran in parallel.
 	// Like the maintenance counters, a shared scan attributes it to the
-	// batch's first scanning query. Zero when no table scan ran.
+	// batch's first scanning query. Zero when no table scan ran —
+	// including a miss that a complete Index Buffer answered, which
+	// skips every page without reading one.
 	ScanWorkers int
 
 	Duration time.Duration
@@ -150,18 +153,20 @@ func (a Access) NeedsIndexingScanRange(lo, hi storage.Value) bool {
 	return a.Buffer != nil && !(a.Index != nil && a.Index.CoversRange(lo, hi))
 }
 
-// FetchHit materializes a partial-index hit from its posting list,
-// reproducing the hit path of ExecuteShared bit for bit: RIDs are
-// fetched in sorted order, PagesRead counts each distinct page once,
-// and the stats carry Key/PartialHit/Matches. rids may alias immutable
-// index state — it is copied before sorting. The engine's epoch-based
-// read path resolves a probe against an index snapshot and calls this
-// to materialize it without entering the shared-scan machinery; only
-// a.Table and a.Column are consulted, so a read-path Access with nil
+// FetchHit materializes a partial-index hit from its posting list —
+// the hit path of ExecuteShared, which calls it too: RIDs are fetched in
+// sorted order, PagesRead counts each distinct page once, and the stats
+// carry Key/PartialHit/Matches. rids may alias immutable index state —
+// it is copied before sorting. The engine's epoch-based read path
+// resolves a probe against an index snapshot and calls this to
+// materialize it without entering the shared-scan machinery; only
+// a.Table is consulted, so a read-path Access with nil
 // Index/Buffer/Space is fine. Duration is left to the caller.
 func FetchHit(a Access, key storage.Value, rids []storage.RID) ([]Match, QueryStats, error) {
 	stats := QueryStats{Key: key, PartialHit: true}
-	m, err := fetchRIDs(a, rids, &stats, pageSet{})
+	sorted := sortRIDs(slices.Clone(rids))
+	stats.PagesRead = distinctPages(sorted, nil)
+	m, err := materialize(a.Table, sorted, newMatches(len(sorted)))
 	if err != nil {
 		return nil, stats, err
 	}
@@ -169,24 +174,99 @@ func FetchHit(a Access, key storage.Value, rids []storage.RID) ([]Match, QuerySt
 	return m, stats, nil
 }
 
-// fetchRIDs materializes tuples for a posting list, page by page. Pages
-// are charged to stats through seen, so a page the query already fetched
-// in another stage is not double-counted.
-func fetchRIDs(a Access, rids []storage.RID, stats *QueryStats, seen pageSet) ([]Match, error) {
-	if len(rids) == 0 {
-		return nil, nil
+// AnswerFromBuffer answers the partial-index miss lo <= column <= hi on
+// a column whose Index Buffer is complete for the table's numPages
+// pages (core.CounterSnap.Complete). Algorithm 1 would select no page
+// and skip every page, so its result is the buffer's postings in
+// [lo, hi] plus, for a range, the partial index's postings in [lo, hi],
+// all on skipped pages (see Range). This returns that result, in the
+// pass's order, with the pass's QueryStats, without walking a page.
+//
+// sharedIndexingScan short-circuits to it under the table lock, and the
+// engine's epoch read path calls it against snapshots. ix is the
+// partial-index state recovery reads (nil when the column has none); it
+// counts no probe, so probed reports whether the caller must note one.
+// Duration is left to the caller.
+func AnswerFromBuffer(a Access, lo, hi storage.Value, numPages int, ix *index.Snapshot) (m []Match, stats QueryStats, probed bool, err error) {
+	stats = QueryStats{Key: lo, QuotaDegraded: a.ReadOnly, PagesSkipped: numPages}
+	buffered := sortRIDs(a.Buffer.LookupRange(lo, hi)) // a fresh slice: sorted in place
+	var recovered []storage.RID
+	if probed = ix != nil && numPages > 0 && recoversSkipped(lo, hi); probed {
+		recovered = sortRIDs(slices.Clone(ix.ScanRange(lo, hi)))
 	}
-	sorted := append([]storage.RID(nil), rids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	stats.PagesRead = distinctPages(buffered, recovered)
+	if m, err = materialize(a.Table, buffered, newMatches(len(buffered)+len(recovered))); err != nil {
+		return nil, stats, probed, err
+	}
+	stats.BufferMatches = len(m)
+	if m, err = materialize(a.Table, recovered, m); err != nil {
+		return nil, stats, probed, err
+	}
+	stats.Matches = len(m)
+	return m, stats, probed, nil
+}
 
-	var out []Match
-	for _, rid := range sorted {
-		seen.read(stats, rid.Page)
-		tu, err := a.Table.Get(rid)
+// sortRIDs sorts rids in place into RID order and returns it.
+func sortRIDs(rids []storage.RID) []storage.RID {
+	slices.SortFunc(rids, func(x, y storage.RID) int {
+		if x.Page != y.Page {
+			return cmp.Compare(x.Page, y.Page)
+		}
+		return cmp.Compare(x.Slot, y.Slot)
+	})
+	return rids
+}
+
+// distinctPages counts the heap pages that two sorted RID lists touch
+// together — one merge walk, no per-query set.
+func distinctPages(x, y []storage.RID) int {
+	n := 0
+	var last storage.PageID
+	for len(x) > 0 || len(y) > 0 {
+		var p storage.PageID
+		if len(y) == 0 || len(x) > 0 && x[0].Page <= y[0].Page {
+			p, x = x[0].Page, x[1:]
+		} else {
+			p, y = y[0].Page, y[1:]
+		}
+		if n == 0 || p != last {
+			n++
+			last = p
+		}
+	}
+	return n
+}
+
+// newMatches presizes a result for n matches; nil when there are none.
+func newMatches(n int) []Match {
+	if n == 0 {
+		return nil
+	}
+	return make([]Match, 0, n)
+}
+
+// materialize appends the tuples at the sorted rids to out.
+func materialize(t Heap, rids []storage.RID, out []Match) ([]Match, error) {
+	for _, rid := range rids {
+		tu, err := t.Get(rid)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, Match{RID: rid, Tuple: tu})
 	}
 	return out, nil
+}
+
+// fetchRIDs materializes tuples for a posting list, page by page. Pages
+// are charged to stats through seen, so a page the query already fetched
+// in another stage of a table scan is not double-counted.
+func fetchRIDs(a Access, rids []storage.RID, stats *QueryStats, seen pageSet) ([]Match, error) {
+	if len(rids) == 0 {
+		return nil, nil
+	}
+	sorted := sortRIDs(slices.Clone(rids))
+	for _, rid := range sorted {
+		seen.read(stats, rid.Page)
+	}
+	return materialize(a.Table, sorted, newMatches(len(sorted)))
 }

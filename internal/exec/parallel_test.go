@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -99,6 +100,96 @@ func TestParallelMatchesSerialOracle(t *testing.T) {
 		diffOutcomes(t, label, so, po)
 		diffBuffers(t, label, sa, pa, sa.Table.NumPages())
 	}
+}
+
+// eventLog is a core.Observer recording event kinds.
+type eventLog struct {
+	mu    sync.Mutex
+	kinds map[string]int
+}
+
+func (l *eventLog) SpaceEvent(kind, _ string, _, _ int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.kinds == nil {
+		l.kinds = map[string]int{}
+	}
+	l.kinds[kind]++
+}
+
+// TestParallelCompleteBufferMiss pins the buffer answer of a miss on a
+// complete Index Buffer: once every page has C[p] == 0, a miss selects
+// nothing and reads no page, so at parallelism 1 and 4 it reports
+// identical stats — every page skipped, buffer matches set, no scan
+// worker — and fans nothing out (no "scan-parallel" event). Results
+// must equal a plain full scan's.
+func TestParallelCompleteBufferMiss(t *testing.T) {
+	batch := []SharedQuery{
+		{Lo: iv(8), Hi: iv(8)},
+		{Lo: iv(3), Hi: iv(9)}, // straddles coverage [0,4]: recovers index postings
+		{Lo: iv(2), Hi: iv(2)}, // covered: index hit
+		{Lo: iv(42), Hi: iv(42)},
+	}
+	var runs [][]SharedOutcome
+	for _, parallelism := range []int{1, 4} {
+		a := scanFixture(t, buildTable(t, 300))
+		a.Parallelism = parallelism
+		numPages := a.Table.NumPages()
+		if o := ExecuteShared(a, []SharedQuery{{Lo: iv(7), Hi: iv(7)}})[0]; o.Err != nil || o.Stats.PagesSelected != numPages {
+			t.Fatalf("warm-up miss: selected %d of %d pages, err %v", o.Stats.PagesSelected, numPages, o.Err)
+		}
+		if !a.Buffer.CounterSnapshot().Complete(numPages) {
+			t.Fatal("buffer incomplete after indexing every page")
+		}
+		log := &eventLog{}
+		a.Observer = log
+		out := ExecuteShared(a, batch)
+		for i, o := range out {
+			if o.Err != nil {
+				t.Fatalf("parallelism %d query %d: %v", parallelism, i, o.Err)
+			}
+			if o.Stats.ScanWorkers != 0 {
+				t.Errorf("parallelism %d query %d: ScanWorkers %d, want 0", parallelism, i, o.Stats.ScanWorkers)
+			}
+			if o.Stats.PartialHit {
+				continue
+			}
+			if o.Stats.PagesSkipped != numPages || o.Stats.PagesSelected != 0 || o.Stats.EntriesAdded != 0 {
+				t.Errorf("parallelism %d query %d: stats %+v, want all %d pages skipped and none selected", parallelism, i, o.Stats, numPages)
+			}
+			truth, _, err := Range(context.Background(), Access{Table: a.Table, Column: 0}, batch[i].Lo, batch[i].Hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ridSet(o.Matches), ridSet(truth)) {
+				t.Errorf("parallelism %d query %d: %d matches, full scan finds %d", parallelism, i, len(o.Matches), len(truth))
+			}
+		}
+		if out[0].Stats.BufferMatches == 0 || out[1].Stats.BufferMatches == 0 || out[1].Stats.Matches == out[1].Stats.BufferMatches {
+			t.Errorf("parallelism %d: buffer answers %+v / %+v, want buffer matches and recovered index postings", parallelism, out[0].Stats, out[1].Stats)
+		}
+		if log.kinds["scan-parallel"] != 0 || log.kinds["page-select"] != 0 {
+			t.Errorf("parallelism %d: events %v, want no scan-parallel and no page-select", parallelism, log.kinds)
+		}
+		runs = append(runs, out)
+	}
+	for i := range batch {
+		s, p := runs[0][i].Stats, runs[1][i].Stats
+		s.Duration, p.Duration = 0, 0
+		if s != p {
+			t.Errorf("query %d stats:\nparallelism 1 %+v\nparallelism 4 %+v", i, s, p)
+		}
+	}
+	diffOutcomes(t, "complete", runs[0], runs[1])
+}
+
+// ridSet is the set of a result's RIDs.
+func ridSet(ms []Match) map[storage.RID]bool {
+	out := make(map[storage.RID]bool, len(ms))
+	for _, m := range ms {
+		out[m.RID] = true
+	}
+	return out
 }
 
 // TestParallelOracleRandomized drives both fixtures through the same

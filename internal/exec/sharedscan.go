@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/storage"
 )
 
@@ -102,28 +103,21 @@ func ExecuteShared(a Access, qs []SharedQuery) []SharedOutcome {
 		if st.ctx == nil {
 			st.ctx = context.Background()
 		}
-		st.seen = pageSet{}
 		outs[i].Stats.Key = q.Lo
 		if q.Hi.Compare(q.Lo) < 0 {
 			continue // empty range: answered without any access
 		}
 		hit := a.Index != nil && a.Index.CoversRange(q.Lo, q.Hi)
-		outs[i].Stats.PartialHit = hit
 		if a.Space != nil {
 			// Table II: every attached query advances the LRU-K histories
 			// individually, exactly as if it had run alone.
 			a.Space.OnQuery(a.Buffer, hit)
 		}
 		if hit {
-			m, err := fetchRIDs(a, a.Index.LookupRange(q.Lo, q.Hi), &outs[i].Stats, st.seen)
-			if err != nil {
-				outs[i].Err = err
-				continue
-			}
-			outs[i].Matches = m
-			outs[i].Stats.Matches = len(m)
+			outs[i].Matches, outs[i].Stats, outs[i].Err = FetchHit(a, q.Lo, a.Index.LookupRange(q.Lo, q.Hi))
 			continue
 		}
+		st.seen = pageSet{}
 		st.active = true
 		scanQ = append(scanQ, i)
 	}
@@ -276,6 +270,10 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 	defer unpinEpoch()
 
 	numPages := a.Table.NumPages()
+	if a.Buffer.CounterSnapshot().Complete(numPages) {
+		bufferAnswer(a, qs, outs, states, scanQ, numPages)
+		return
+	}
 	var selected []storage.PageID
 	if a.ReadOnly {
 		// Quota-degraded pass: I stays empty, so the page walk below never
@@ -359,6 +357,33 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 		if states[i].active {
 			outs[i].Stats.Matches = len(outs[i].Matches)
 		}
+	}
+}
+
+// bufferAnswer serves every scanning query of a pass whose scan-start
+// counter snapshot is complete through AnswerFromBuffer: Algorithm 2
+// would select nothing and the page walk would skip every page, so
+// neither runs and no scan worker is spawned (ScanWorkers stays 0). A
+// query canceled before the pass keeps its ctx error, as it would at
+// the walk's first page.
+func bufferAnswer(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int, numPages int) {
+	if numPages > 0 && !pollCancel(outs, states, scanQ) {
+		return
+	}
+	var ix *index.Snapshot
+	if a.Index != nil {
+		s := a.Index.Snapshot()
+		ix = &s
+	}
+	for _, i := range scanQ {
+		if !states[i].active {
+			continue
+		}
+		m, stats, probed, err := AnswerFromBuffer(a, qs[i].Lo, qs[i].Hi, numPages, ix)
+		if probed {
+			ix.NoteProbe()
+		}
+		outs[i].Matches, outs[i].Stats, outs[i].Err = m, stats, err
 	}
 }
 

@@ -115,6 +115,13 @@ func (s Snapshot) LookupRange(lo, hi storage.Value) []storage.RID {
 	return postings(s.st.tree, lo, hi)
 }
 
+// ScanRange returns the postings of every entry with a value in
+// [lo, hi], with no coverage requirement — Partial.ScanRange against the
+// snapshot. No probe is counted; call NoteProbe once the result is used.
+func (s Snapshot) ScanRange(lo, hi storage.Value) []storage.RID {
+	return postings(s.st.tree, lo, hi)
+}
+
 // postings collects the posting lists of every key in [lo, hi]. A range
 // holding a single key — every point query — returns that key's posting
 // list itself, capped so a caller's append copies, which keeps a point

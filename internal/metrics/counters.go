@@ -8,7 +8,9 @@ import "sync/atomic"
 // and monitoring (each field is read atomically, the set is not).
 type SharedScanCounters struct {
 	// Misses counts queries that needed an indexing scan (partial-index
-	// misses on a buffered column) and entered the admission layer.
+	// misses on a buffered column) and entered the admission layer. A
+	// miss the lock-free read path answers from a complete Index Buffer
+	// is never admitted, so it is not counted here.
 	Misses atomic.Uint64
 	// Scans counts Algorithm-1 passes actually executed.
 	Scans atomic.Uint64

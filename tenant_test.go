@@ -285,6 +285,57 @@ func TestStrictTenantQuotaError(t *testing.T) {
 	}
 }
 
+// TestEpochBufferAnswerOverQuota checks that a complete Index Buffer
+// does not lift a tenant's quota gate: once the buffer fills the quota
+// exactly, the next miss is not answered on the lock-free path but goes
+// through admission — degraded to a read-only pass with QuotaDegraded
+// set, or ErrQuotaExceeded for a strict tenant.
+func TestEpochBufferAnswerOverQuota(t *testing.T) {
+	const quota = 20 // uncovered keys 46..50, four rows each
+	db := MustOpen(Options{SpaceLimit: 10000, Tenants: []Tenant{
+		{Name: "soft", Quota: quota}, {Name: "hard", Quota: quota, Strict: true}}})
+	defer db.Close()
+	ctx := context.Background()
+	for _, name := range []string{"soft", "hard"} {
+		sess, err := db.Session(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillTenantTable(t, sess.Exec, 200, 50, 45)
+		if _, err := sess.Exec(ctx, "SELECT * FROM t WHERE a = 50"); err != nil {
+			t.Fatalf("%s warm-up: %v", name, err)
+		}
+		used, degraded := 0, uint64(0)
+		for _, ts := range db.TenantStats() {
+			if ts.Name == name {
+				used, degraded = ts.Used, ts.Degraded
+			}
+		}
+		if used != quota {
+			t.Fatalf("%s: warm-up left %d entries buffered, want the whole column (%d)", name, used, quota)
+		}
+		hits := db.EpochStats().FastHits
+		res, err := sess.Exec(ctx, "SELECT * FROM t WHERE a = 49")
+		if name == "hard" {
+			if !errors.Is(err, ErrQuotaExceeded) {
+				t.Fatalf("strict tenant at quota: err = %v, want ErrQuotaExceeded", err)
+			}
+		} else {
+			if err != nil || res.Stats == nil || !res.Stats.QuotaDegraded || res.Rows != 4 {
+				t.Fatalf("tenant at quota: %+v, %v; want 4 rows from a QuotaDegraded pass", res, err)
+			}
+			for _, ts := range db.TenantStats() {
+				if ts.Name == name && ts.Degraded != degraded+1 {
+					t.Errorf("degraded count %d → %d, want one more", degraded, ts.Degraded)
+				}
+			}
+		}
+		if got := db.EpochStats().FastHits; got != hits {
+			t.Errorf("%s: an over-quota miss was served lock-free", name)
+		}
+	}
+}
+
 // TestTimelineTenantFilter drives two tenants, then checks the
 // /timeline endpoint's ?tenant= filter over the qualified table names.
 func TestTimelineTenantFilter(t *testing.T) {
